@@ -17,14 +17,14 @@ import (
 	"sparkgo/internal/testutil"
 )
 
-// updateGolden regenerates the artifact-fingerprint golden file:
+// updateGolden regenerates the fingerprint golden files:
 //
-//	go test ./internal/core -run TestArtifactCodecRoundTrip -update
+//	go test ./internal/core -run 'TestArtifactCodecRoundTrip|TestScaleFingerprints' -update
 //
 // Regenerate ONLY after an intentional codec or stage change — and bump
 // the corresponding stage version constant, or every previously
 // persisted artifact silently aliases under the new encoding.
-var updateGolden = flag.Bool("update", false, "rewrite the artifact fingerprint golden file")
+var updateGolden = flag.Bool("update", false, "rewrite the fingerprint golden files")
 
 // codecDesign is one synthesis configuration whose artifacts the codec
 // tests round-trip: the same designs the differential harness trusts.
@@ -169,8 +169,13 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 		return
 	}
 
-	golden := filepath.Join("testdata", "artifact_fingerprints.golden")
-	got := strings.Join(goldenLines, "\n") + "\n"
+	checkGolden(t, filepath.Join("testdata", "artifact_fingerprints.golden"), strings.Join(goldenLines, "\n")+"\n")
+}
+
+// checkGolden compares a fingerprint listing with its golden file, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -220,4 +225,30 @@ func TestBackendKeyUsesContentFingerprint(t *testing.T) {
 	if k := core.BackendKey(ma, scaled.BackendOptions()); k == base {
 		t.Error("report-model change did not change the backend key")
 	}
+}
+
+// TestScaleFingerprints pins the frontend, midend and backend
+// fingerprints of the ILD at n = 64 and 128 on both presets. The
+// artifact golden above stops at n = 32, below the sizes where the
+// dependence graph and list scheduler see hundreds of thousands of
+// edges; a rewrite of those data structures must reproduce these
+// fingerprints byte for byte. Regenerate (with the same care as the
+// artifact golden) with
+//
+//	go test ./internal/core -run TestScaleFingerprints -update
+func TestScaleFingerprints(t *testing.T) {
+	var lines []string
+	for _, n := range []int{64, 128} {
+		for _, p := range []struct {
+			name   string
+			preset core.Preset
+		}{{"micro", core.MicroprocessorBlock}, {"classical", core.ClassicalASIC}} {
+			d := codecDesign{name: fmt.Sprintf("ild%d-%s", n, p.name), prog: ild.Program(n),
+				opt: core.Options{Preset: p.preset}}
+			fa, ma, _, ba, _ := stages(t, d)
+			lines = append(lines, fmt.Sprintf("%s frontend=%s midend=%s backend=%s",
+				d.name, fa.Fingerprint, ma.Fingerprint, ba.Fingerprint))
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "scale_fingerprints.golden"), strings.Join(lines, "\n")+"\n")
 }
