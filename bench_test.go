@@ -24,6 +24,8 @@
 //	BenchmarkSearchHillClimb           adaptive hill-climbing search (E17)
 //	BenchmarkSearchGenetic             adaptive genetic search (E17)
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
+//	BenchmarkMidendILD/n=*             midend (lowering, dependence graph, list scheduling) scale curve
+//	BenchmarkDFABuild                  dependence-graph construction at n=128
 //	BenchmarkRTLSimILD                 simulated decode throughput
 //	BenchmarkInterpILD                 behavioral decode throughput
 package sparkgo_test
@@ -35,6 +37,7 @@ import (
 	"testing"
 
 	"sparkgo/internal/core"
+	"sparkgo/internal/dfa"
 	"sparkgo/internal/experiments"
 	"sparkgo/internal/explore"
 	"sparkgo/internal/ild"
@@ -265,6 +268,56 @@ func BenchmarkSynthesizeILD(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchMidendInput runs the microprocessor-block frontend on the size-n
+// ILD, so a benchmark can time the midend alone.
+func benchMidendInput(b *testing.B, n int) (*core.FrontendArtifact, core.MidendOptions) {
+	b.Helper()
+	opt := core.Options{Preset: core.MicroprocessorBlock}
+	fa, err := core.Frontend(ild.Program(n), opt.FrontendOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fa, opt.MidendOptions()
+}
+
+// BenchmarkMidendILD times the chain-mode midend (HTG lowering,
+// dependence graph and list scheduling) on the fully unrolled ILD, where
+// the dependence graph grows quadratically with n.
+func BenchmarkMidendILD(b *testing.B) {
+	for _, n := range []int{32, 64, 128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			fa, opt := benchMidendInput(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ma, err := core.Midend(fa, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ma.Cycles != 1 {
+					b.Fatalf("n=%d: %d cycles", n, ma.Cycles)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDFABuild times dependence-graph construction alone over the
+// n=128 ILD's lowered operations.
+func BenchmarkDFABuild(b *testing.B) {
+	fa, opt := benchMidendInput(b, 128)
+	ma, err := core.Midend(fa, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := ma.Graph.AllOps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dfa.Build(ops, dfa.DefaultOptions())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command explore drives the design-space exploration engine and
 // regenerates every experiment table of the reproduction (DESIGN.md §4:
 // E1–E17 and the A-series ablations). With no arguments it runs every
-// experiment; pass experiment ids (e.g. "E12 A E15 E17") to select.
+// experiment; pass experiment ids (e.g. "E12 A E15 E17") to select. An
+// unknown id prints the valid ones and exits 2.
 //
 // The -sweep mode runs a standalone concurrent sweep over
 // (preset × pass toggles × unroll bounds × buffer sizes) and prints the
@@ -56,9 +57,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -235,11 +238,7 @@ func main() {
 		return
 	}
 
-	type exp struct {
-		id  string
-		run func() (*report.Table, error)
-	}
-	all := []exp{
+	all := []experiment{
 		{"E1", experiments.E1Fig02Unroll},
 		{"E2", experiments.E2Fig03ConstPropParallel},
 		{"E3", experiments.E3Fig04Chaining},
@@ -257,15 +256,48 @@ func main() {
 		{"E17", func() (*report.Table, error) { return experiments.E17AdaptiveSearch(*n, *workers) }},
 		{"A", func() (*report.Table, error) { return experiments.Ablations(*n) }},
 	}
+	os.Exit(runExperiments(all, flag.Args(), printTable, os.Stderr))
+}
 
+// experiment is one table the experiments mode can print.
+type experiment struct {
+	id  string
+	run func() (*report.Table, error)
+}
+
+// experimentAliases maps the ids whose tables another experiment
+// prints to that experiment.
+var experimentAliases = map[string]string{"E6": "E5", "E9": "E8", "E10": "E8", "E11": "E8"}
+
+// runExperiments runs the experiments args select (all when args is
+// empty; ids are case-insensitive) and returns the exit status: 0, 1
+// when an experiment fails, or 2 when an id is unknown, in which case
+// nothing runs and the valid ids go to stderr.
+func runExperiments(all []experiment, args []string, printTable func(*report.Table), stderr io.Writer) int {
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
+	var unknown []string
+	for _, a := range args {
+		id := strings.ToUpper(a)
+		if to, ok := experimentAliases[id]; ok {
+			id = to
+		}
+		if !slices.ContainsFunc(all, func(e experiment) bool { return e.id == id }) {
+			unknown = append(unknown, a)
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		ids := make([]string, len(all))
+		for i, e := range all {
+			ids[i] = e.id
+		}
+		fmt.Fprintf(stderr, "unknown experiment %s; valid ids: %s (E6 runs with E5, E9-E11 with E8)\n",
+			strings.Join(unknown, ", "), strings.Join(ids, " "))
+		return 2
 	}
 	failed := 0
 	for _, e := range all {
-		if len(want) > 0 && !want[e.id] &&
-			!(want["E5"] && e.id == "E6") && !(want["E8"] && e.id == "E11") {
+		if len(want) > 0 && !want[e.id] {
 			continue
 		}
 		t, err := e.run()
@@ -273,13 +305,14 @@ func main() {
 			printTable(t)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
+			fmt.Fprintf(stderr, "%s FAILED: %v\n", e.id, err)
 			failed++
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runCacheGC applies the -cache-max-bytes budget to the exploration

@@ -11,15 +11,35 @@
 //   - constant-index array disambiguation: accesses to statically distinct
 //     elements of the same array are independent, which is what makes the
 //     fully-unrolled ILD's Mark[1], Mark[2], ... stores parallel.
+//
+// The graph is stored in compressed sparse row form with no pointers in
+// the edges: an Edge names its endpoints by position in Graph.Ops and its
+// variable by position in Graph.Vars, and all edges live in two flat
+// arrays, one grouped by destination op and one by source op. Preds[i] and
+// Succs[i] are windows into those arrays. The fully unrolled ILD has
+// hundreds of thousands of edges at n = 128, so the layout keeps their
+// cost to 16 bytes each and out of the garbage collector's scan.
+//
+// Build visits the ops in program order and adds every edge into op i
+// while visiting i. Two invariants follow. Preds[i] holds i's edges in
+// insertion order: guard edges, then flow edges read by read, then anti
+// edges, then output edges; the scheduler's mux-penalty rule depends on
+// that order. And a duplicate (from, i, kind) edge can only arise during
+// the visit of i, so one stamp per (from, kind) recording the last op
+// that received such an edge deduplicates in constant time. Succs[i] is
+// the stable regrouping of the same edges by source, so it is ordered by
+// successor position.
 package dfa
 
 import (
+	"slices"
+
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
 )
 
 // EdgeKind classifies dependence edges.
-type EdgeKind int
+type EdgeKind uint8
 
 const (
 	// Flow: the successor reads a value the predecessor writes.
@@ -31,6 +51,8 @@ const (
 	// Guard: the successor commits under a condition the predecessor
 	// computes.
 	Guard
+
+	numKinds = iota
 )
 
 func (k EdgeKind) String() string {
@@ -47,20 +69,86 @@ func (k EdgeKind) String() string {
 	return "?"
 }
 
-// Edge is one dependence: From must complete before (or chain into) To.
+// Edge is one dependence: Ops[From] must complete before (or chain
+// into) Ops[To].
 type Edge struct {
-	From, To *htg.Op
-	Kind     EdgeKind
+	From, To int32
 	// Var is the storage mediating the dependence (condition var for
-	// Guard edges).
-	Var *ir.Var
+	// Guard edges), as a position in Graph.Vars; -1 when none.
+	Var  int32
+	Kind EdgeKind
 }
 
 // Graph is the dependence graph over a set of operations in program order.
 type Graph struct {
-	Ops   []*htg.Op
-	Succs map[*htg.Op][]Edge
-	Preds map[*htg.Op][]Edge
+	Ops []*htg.Op
+	// Vars is the side table Edge.Var indexes.
+	Vars []*ir.Var
+	// Preds[i] holds the edges into Ops[i] in insertion order; Succs[i]
+	// holds the edges out of it, ordered by successor position. Each
+	// entry is a window into one flat edge array per direction, and
+	// must not be appended to.
+	Preds, Succs [][]Edge
+}
+
+// NumEdges returns the number of dependence edges.
+func (g *Graph) NumEdges() int {
+	n := 0
+	for _, es := range g.Preds {
+		n += len(es)
+	}
+	return n
+}
+
+// FromEdges assembles a graph over ops from edges in any order. Each
+// op's Preds and Succs keep the edges' relative order in the input.
+// Endpoints must be positions in ops and Var positions in vars or -1.
+func FromEdges(ops []*htg.Op, vars []*ir.Var, edges []Edge) *Graph {
+	// Counting sorts on To and From. Input already in order is used as
+	// is: Build emits its edges grouped by To.
+	n := len(ops)
+	predOff, succOff := make([]int32, n+1), make([]int32, n+1)
+	byTo, byFrom := true, true
+	for k, e := range edges {
+		predOff[e.To+1]++
+		succOff[e.From+1]++
+		if k > 0 {
+			byTo = byTo && e.To >= edges[k-1].To
+			byFrom = byFrom && e.From >= edges[k-1].From
+		}
+	}
+	for i := 0; i < n; i++ {
+		predOff[i+1] += predOff[i]
+		succOff[i+1] += succOff[i]
+	}
+	preds, succs := edges, edges
+	if !byTo {
+		preds = make([]Edge, len(edges))
+		next := append([]int32(nil), predOff[:n]...)
+		for _, e := range edges {
+			preds[next[e.To]] = e
+			next[e.To]++
+		}
+	}
+	if !byFrom {
+		succs = make([]Edge, len(edges))
+		next := append([]int32(nil), succOff[:n]...)
+		for _, e := range edges {
+			succs[next[e.From]] = e
+			next[e.From]++
+		}
+	}
+	return &Graph{Ops: ops, Vars: vars, Preds: windows(preds, predOff), Succs: windows(succs, succOff)}
+}
+
+// windows cuts flat into the per-op slices [off[i], off[i+1]), capped so
+// that an append cannot spill into the next op's edges.
+func windows(flat []Edge, off []int32) [][]Edge {
+	out := make([][]Edge, len(off)-1)
+	for i := range out {
+		out[i] = flat[off[i]:off[i+1]:off[i+1]]
+	}
+	return out
 }
 
 // Options configures graph construction.
@@ -81,25 +169,52 @@ func DefaultOptions() Options {
 // Build constructs the dependence graph for ops (which must be in program
 // order, as produced by Graph.AllOps or BasicBlock.Ops).
 func Build(ops []*htg.Op, opt Options) *Graph {
-	g := &Graph{Ops: ops, Succs: map[*htg.Op][]Edge{}, Preds: map[*htg.Op][]Edge{}}
-
-	addEdge := func(from, to *htg.Op, kind EdgeKind, v *ir.Var) {
-		if from == to {
+	var (
+		vars   []*ir.Var
+		varIdx = map[*ir.Var]int32{}
+		// Per-variable def/use bookkeeping as op positions, scanning in
+		// program order. Both lists are free of duplicates: an op is
+		// appended to a variable's lists only while it is visited, and
+		// a repeat read of the same variable is dropped at once.
+		lastDefs  [][]int32 // defs not yet killed (guarded defs accumulate)
+		lastReads [][]int32
+		edges     []Edge
+		// stamp[k][from] is 1 + the op that last received a kind-k
+		// edge from op from.
+		stamp [numKinds][]int32
+		to    int32 // the op being visited
+	)
+	for k := range stamp {
+		stamp[k] = make([]int32, len(ops))
+	}
+	varOf := func(v *ir.Var) int32 {
+		i, ok := varIdx[v]
+		if !ok {
+			i = int32(len(vars))
+			varIdx[v] = i
+			vars = append(vars, v)
+			lastDefs = append(lastDefs, nil)
+			lastReads = append(lastReads, nil)
+		}
+		return i
+	}
+	addEdge := func(from int32, kind EdgeKind, v int32) {
+		if from == to || stamp[kind][from] == to+1 {
 			return
 		}
-		for _, e := range g.Succs[from] {
-			if e.To == to && e.Kind == kind {
-				return
-			}
+		stamp[kind][from] = to + 1
+		if len(edges) == cap(edges) {
+			// Double: append's gentler growth for large slices
+			// would copy the edges several times over.
+			edges = slices.Grow(edges, len(edges)+64)
 		}
-		e := Edge{From: from, To: to, Kind: kind, Var: v}
-		g.Succs[from] = append(g.Succs[from], e)
-		g.Preds[to] = append(g.Preds[to], e)
+		edges = append(edges, Edge{From: from, To: to, Kind: kind, Var: v})
 	}
-
-	// Per-variable def/use bookkeeping, scanning in program order.
-	lastDefs := map[*ir.Var][]*htg.Op{} // defs not yet killed (guarded defs accumulate)
-	lastReads := map[*ir.Var][]*htg.Op{}
+	addRead := func(v int32) {
+		if r := lastReads[v]; len(r) == 0 || r[len(r)-1] != to {
+			lastReads[v] = append(r, to)
+		}
+	}
 
 	exclusive := func(a, b *htg.Op) bool {
 		return opt.UseExclusivity && htg.MutuallyExclusive(a.BB, b.BB)
@@ -114,85 +229,93 @@ func Build(ops []*htg.Op, opt Options) *Graph {
 		return ia.IsConst && ib.IsConst && ia.Const != ib.Const
 	}
 
-	for _, op := range ops {
+	for i, op := range ops {
+		to = int32(i)
 		// Guard dependences: the op needs its path conditions — and it
 		// READS them, so later writers of a condition variable must be
 		// anti-ordered after this op (a stale guard would otherwise
 		// commit the wrong branch when scheduling spreads the ops over
 		// several cycles).
 		for _, gt := range op.BB.Guard {
-			for _, d := range lastDefs[gt.Cond] {
-				addEdge(d, op, Guard, gt.Cond)
+			c := varOf(gt.Cond)
+			for _, d := range lastDefs[c] {
+				addEdge(d, Guard, c)
 			}
-			lastReads[gt.Cond] = append(lastReads[gt.Cond], op)
+			addRead(c)
 		}
 		// Flow dependences on reads.
 		for _, v := range op.Reads() {
-			for _, d := range lastDefs[v] {
-				if v.Type.IsArray() && d.Kind == htg.OpStore && op.Kind == htg.OpLoad &&
-					distinctConstElems(d, op) {
+			vi, isArr := varOf(v), v.Type.IsArray()
+			for _, d := range lastDefs[vi] {
+				def := ops[d]
+				if isArr && def.Kind == htg.OpStore && op.Kind == htg.OpLoad &&
+					distinctConstElems(def, op) {
 					continue
 				}
-				if v.Type.IsArray() && exclusive(d, op) {
+				if isArr && exclusive(def, op) {
 					// A store in an exclusive branch can't feed
 					// this load.
 					continue
 				}
-				addEdge(d, op, Flow, v)
+				addEdge(d, Flow, vi)
 			}
-			lastReads[v] = append(lastReads[v], op)
+			addRead(vi)
 		}
 		// Anti/output dependences on the write.
-		if w := op.Writes(); w != nil {
-			for _, r := range lastReads[w] {
-				if r == op {
-					continue
-				}
-				if exclusive(r, op) {
-					continue
-				}
-				if w.Type.IsArray() && r.Kind == htg.OpLoad && op.Kind == htg.OpStore &&
-					distinctConstElems(r, op) {
-					continue
-				}
-				addEdge(r, op, Anti, w)
+		w := op.Writes()
+		if w == nil {
+			continue
+		}
+		wi, isArr := varOf(w), w.Type.IsArray()
+		for _, r := range lastReads[wi] {
+			if r == to {
+				continue
 			}
-			var kept []*htg.Op
-			for _, d := range lastDefs[w] {
-				if exclusive(d, op) {
-					// Both writes can't happen in one run: no
-					// ordering needed, and the old def still
-					// reaches later readers on its own paths.
-					kept = append(kept, d)
-					continue
-				}
-				if w.Type.IsArray() && d.Kind == htg.OpStore && op.Kind == htg.OpStore &&
-					distinctConstElems(d, op) {
-					kept = append(kept, d)
-					continue
-				}
-				addEdge(d, op, Output, w)
-				// A killed def stops reaching later readers only
-				// when the new write covers it: scalar writes whose
-				// guard set is implied by the old def's guards.
-				if !w.Type.IsArray() && guardsCover(d.BB.Guard, op.BB.Guard) {
-					continue // killed
-				}
+			rd := ops[r]
+			if exclusive(rd, op) {
+				continue
+			}
+			if isArr && rd.Kind == htg.OpLoad && op.Kind == htg.OpStore &&
+				distinctConstElems(rd, op) {
+				continue
+			}
+			addEdge(r, Anti, wi)
+		}
+		defs := lastDefs[wi]
+		kept := defs[:0] // filtered in place: kept never overtakes the scan
+		for _, d := range defs {
+			def := ops[d]
+			if exclusive(def, op) {
+				// Both writes can't happen in one run: no
+				// ordering needed, and the old def still
+				// reaches later readers on its own paths.
 				kept = append(kept, d)
+				continue
 			}
-			if w.Type.IsArray() {
-				// Element stores never kill the whole array:
-				// readers at other indices still need older stores.
-				lastDefs[w] = append(dedupOps(kept), op)
-			} else if len(op.BB.Guard) == 0 {
-				lastDefs[w] = []*htg.Op{op} // unconditional def kills all
-				lastReads[w] = nil
-			} else {
-				lastDefs[w] = append(dedupOps(kept), op)
+			if isArr && def.Kind == htg.OpStore && op.Kind == htg.OpStore &&
+				distinctConstElems(def, op) {
+				kept = append(kept, d)
+				continue
 			}
+			addEdge(d, Output, wi)
+			// A killed def stops reaching later readers only
+			// when the new write covers it: scalar writes whose
+			// guard set is implied by the old def's guards.
+			if !isArr && guardsCover(def.BB.Guard, op.BB.Guard) {
+				continue // killed
+			}
+			kept = append(kept, d)
+		}
+		if !isArr && len(op.BB.Guard) == 0 {
+			lastDefs[wi] = append(defs[:0], to) // unconditional def kills all
+			lastReads[wi] = lastReads[wi][:0]
+		} else {
+			// Element stores never kill the whole array: readers at
+			// other indices still need older stores.
+			lastDefs[wi] = append(kept, to)
 		}
 	}
-	return g
+	return FromEdges(ops, vars, edges)
 }
 
 // guardsCover reports whether guard set a implies b (b is a prefix of a:
@@ -213,18 +336,6 @@ func guardsCover(a, b []htg.GuardTerm) bool {
 	return true
 }
 
-func dedupOps(ops []*htg.Op) []*htg.Op {
-	seen := map[*htg.Op]bool{}
-	var out []*htg.Op
-	for _, o := range ops {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // Topological returns the ops sorted topologically by dependence, breaking
 // ties by program order (op ID). The input graph must be acyclic, which
 // holds by construction (edges always point forward in program order).
@@ -238,18 +349,18 @@ func (g *Graph) Topological() []*htg.Op {
 // CriticalPathLength returns the maximum number of flow edges on any path
 // (the dataflow depth: paper Fig 3b's "two levels").
 func (g *Graph) CriticalPathLength() int {
-	depth := map[*htg.Op]int{}
+	depth := make([]int, len(g.Ops))
 	max := 0
-	for _, op := range g.Ops { // program order = topological
+	for i := range g.Ops { // program order = topological
 		d := 0
-		for _, e := range g.Preds[op] {
+		for _, e := range g.Preds[i] {
 			if e.Kind == Flow || e.Kind == Guard {
 				if depth[e.From]+1 > d {
 					d = depth[e.From] + 1
 				}
 			}
 		}
-		depth[op] = d
+		depth[i] = d
 		if d > max {
 			max = d
 		}

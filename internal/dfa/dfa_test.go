@@ -1,10 +1,14 @@
 package dfa_test
 
 import (
+	"slices"
 	"testing"
 
+	"sparkgo/internal/core"
 	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
+	"sparkgo/internal/ild"
+	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/transform"
 )
@@ -31,9 +35,23 @@ func findOp(g *htg.Graph, pred func(*htg.Op) bool) *htg.Op {
 	return nil
 }
 
+// pos returns op's position in d.Ops, or -1.
+func pos(d *dfa.Graph, op *htg.Op) int {
+	for i, o := range d.Ops {
+		if o == op {
+			return i
+		}
+	}
+	return -1
+}
+
 func hasEdge(d *dfa.Graph, from, to *htg.Op, kind dfa.EdgeKind) bool {
-	for _, e := range d.Succs[from] {
-		if e.To == to && e.Kind == kind {
+	i := pos(d, from)
+	if i < 0 {
+		return false
+	}
+	for _, e := range d.Succs[i] {
+		if d.Ops[e.To] == to && e.Kind == kind {
 			return true
 		}
 	}
@@ -243,12 +261,116 @@ void main() {
 }
 `)
 	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
-	for _, op := range d.Ops {
-		for _, e := range d.Succs[op] {
-			if e.From.ID >= e.To.ID {
+	for _, succs := range d.Succs {
+		for _, e := range succs {
+			if from, to := d.Ops[e.From], d.Ops[e.To]; from.ID >= to.ID {
 				t.Errorf("edge not forward in program order: #%d -> #%d (%v)",
-					e.From.ID, e.To.ID, e.Kind)
+					from.ID, to.ID, e.Kind)
 			}
+		}
+	}
+}
+
+// TestPredsInVisitOrder pins the order of an op's incoming edges: guard
+// edges first, then flow edges read by read, then anti, then output.
+// The scheduler's mux-penalty rule reads the first edge of each
+// variable, so this order is part of every schedule.
+func TestPredsInVisitOrder(t *testing.T) {
+	g := lower(t, `
+uint8 a;
+uint8 out;
+uint8 out2;
+void main() {
+  uint8 t;
+  uint8 p;
+  uint8 q;
+  p = a + 1;
+  q = a + 2;
+  t = a + 3;
+  out = t + 1;
+  if (a > 1) {
+    t = q + p;
+  }
+  out2 = t;
+}
+`)
+	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	writer := func(name string, guarded bool) *htg.Op {
+		return findOp(g, func(op *htg.Op) bool {
+			return op.Writes() != nil && op.Writes().Name == name && (len(op.BB.Guard) > 0) == guarded
+		})
+	}
+	x := writer("t", true)
+	cond := findOp(g, func(op *htg.Op) bool { return op.Kind == htg.OpBin && op.Bin == ir.OpGt })
+	want := []struct {
+		from *htg.Op
+		kind dfa.EdgeKind
+		v    string
+	}{
+		{cond, dfa.Guard, cond.Writes().Name},
+		{writer("q", false), dfa.Flow, "q"},
+		{writer("p", false), dfa.Flow, "p"},
+		{writer("out", false), dfa.Anti, "t"},
+		{writer("t", false), dfa.Output, "t"},
+	}
+	got := d.Preds[pos(d, x)]
+	if len(got) != len(want) {
+		t.Fatalf("%d preds, want %d: %+v", len(got), len(want), got)
+	}
+	for k, w := range want {
+		e := got[k]
+		if d.Ops[e.From] != w.from || e.Kind != w.kind || d.Vars[e.Var].Name != w.v || d.Ops[e.To] != x {
+			t.Errorf("pred %d = %v from %s via %s, want %v from %s via %s",
+				k, e.Kind, d.Ops[e.From], d.Vars[e.Var].Name, w.kind, w.from, w.v)
+		}
+	}
+}
+
+// TestSuccsRegroupPreds pins Succs as the stable regrouping of the
+// edges by source: walking every op's Preds in position order and
+// dealing each edge to its source reproduces Succs exactly, so each
+// Succs list is ordered by successor position.
+func TestSuccsRegroupPreds(t *testing.T) {
+	p := ild.Program(8)
+	opt := core.Options{Preset: core.MicroprocessorBlock}
+	fa, err := core.Frontend(p, opt.FrontendOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := htg.Lower(fa.Program, fa.Program.Main())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	want := make([][]dfa.Edge, len(d.Ops))
+	edges := 0
+	for i, preds := range d.Preds {
+		for _, e := range preds {
+			if int(e.To) != i {
+				t.Fatalf("edge %+v listed in Preds[%d]", e, i)
+			}
+			want[e.From] = append(want[e.From], e)
+			edges++
+		}
+	}
+	if edges == 0 || edges != d.NumEdges() {
+		t.Fatalf("%d edges, NumEdges %d", edges, d.NumEdges())
+	}
+	for i := range d.Ops {
+		if !slices.Equal(d.Succs[i], want[i]) {
+			t.Fatalf("Succs[%d] = %+v, want %+v", i, d.Succs[i], want[i])
+		}
+	}
+	// FromEdges regroups shuffled input the same way as long as each
+	// op's relative order survives: feed it the Succs order.
+	var flat []dfa.Edge
+	for _, succs := range d.Succs {
+		flat = append(flat, succs...)
+	}
+	d2 := dfa.FromEdges(d.Ops, d.Vars, flat)
+	for i := range d.Ops {
+		if !slices.Equal(d2.Succs[i], d.Succs[i]) {
+			t.Fatalf("FromEdges Succs[%d] differs", i)
 		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 // short-circuit evaluation does — and gates are what the hardware builds.
 func Lower(prog *ir.Program, fn *ir.Func) (*Graph, error) {
 	g := &Graph{Prog: prog, Fn: fn, Root: &Seq{}}
-	lw := &lowerer{g: g}
+	lw := &lowerer{g: g, newTemp: fn.TempNamer()}
 	if !fn.Ret.IsVoid() {
-		g.RetVar = fn.NewTemp("ret", fn.Ret)
+		g.RetVar = lw.newTemp("ret", fn.Ret)
 	}
 	seq, err := lw.lowerBlock(fn.Body, nil)
 	if err != nil {
@@ -32,10 +32,11 @@ func Lower(prog *ir.Program, fn *ir.Func) (*Graph, error) {
 }
 
 type lowerer struct {
-	g     *Graph
-	cur   *BasicBlock
-	seq   *Seq
-	guard []GuardTerm
+	g       *Graph
+	cur     *BasicBlock
+	seq     *Seq
+	guard   []GuardTerm
+	newTemp func(prefix string, t *ir.Type) *ir.Var // g.Fn's TempNamer
 
 	// Lowering arenas: ops, operand lists, blocks, and guard copies are
 	// carved from fixed-size chunks instead of allocated one heap object
@@ -140,8 +141,7 @@ func (lw *lowerer) emit(proto Op) *Op {
 }
 
 func (lw *lowerer) temp(t *ir.Type) *ir.Var {
-	v := lw.g.Fn.NewTemp("op", t)
-	return v
+	return lw.newTemp("op", t)
 }
 
 // lowerBlock lowers a statement block into a fresh Seq under the given

@@ -39,10 +39,30 @@ func (f *Func) NewLocal(name string, t *Type) *Var {
 // from prefix. Transformation passes use this for speculation temps, wire
 // variables, and inlining copies.
 func (f *Func) NewTemp(prefix string, t *Type) *Var {
+	return f.newTemp(prefix, t, func(name string) bool { return f.Lookup(name) != nil })
+}
+
+// TempNamer returns a NewTemp for callers that declare many temporaries
+// in a row: it indexes the local names once instead of scanning them per
+// temporary, and yields exactly the names NewTemp would. It is valid
+// only while f.Locals changes through it alone.
+func (f *Func) TempNamer() func(prefix string, t *Type) *Var {
+	taken := make(map[string]bool, len(f.Locals))
+	for _, v := range f.Locals {
+		taken[v.Name] = true
+	}
+	return func(prefix string, t *Type) *Var {
+		v := f.newTemp(prefix, t, func(name string) bool { return taken[name] })
+		taken[v.Name] = true
+		return v
+	}
+}
+
+func (f *Func) newTemp(prefix string, t *Type, taken func(string) bool) *Var {
 	for {
 		f.tempCounter++
 		name := fmt.Sprintf("%s_%d", prefix, f.tempCounter)
-		if f.Lookup(name) == nil {
+		if !taken(name) {
 			v := &Var{Name: name, Type: t, Synthetic: true}
 			f.Locals = append(f.Locals, v)
 			return v

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparkgo/internal/dfa"
@@ -23,40 +25,62 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 	ops := g.AllOps()
 	deps := dfa.Build(ops, cfg.DepOpts)
 	m := cfg.Model
+	n := len(ops)
 
 	res := &Result{
 		G: g, Mode: ModeChain, Model: m,
-		OpState: map[*htg.Op]int{}, VarClass: map[*ir.Var]VarClass{},
-		Arrival: map[*htg.Op]float64{}, Finish: map[*htg.Op]float64{},
-		ReentrantStates: map[int]bool{},
-		Deps:            deps,
+		VarClass: map[*ir.Var]VarClass{}, ReentrantStates: map[int]bool{},
+		Deps: deps,
 	}
 
+	// Per-op state, indexed by position in ops. state is the op's cycle,
+	// -1 until it is placed; pending counts dependence edges from ops
+	// not yet placed.
+	var (
+		delays  = make([]float64, n)
+		prio    = make([]float64, n)
+		state   = make([]int32, n)
+		arrival = make([]float64, n)
+		finish  = make([]float64, n)
+		pending = make([]int32, n)
+	)
 	// Priority: delay-weighted longest path to any sink (computed over
 	// the reversed program order — program order is topological).
-	prio := map[*htg.Op]float64{}
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
+	for i := n - 1; i >= 0; i-- {
+		delays[i] = opDelay(m, ops[i])
 		best := 0.0
-		for _, e := range deps.Succs[op] {
+		for _, e := range deps.Succs[i] {
 			if p := prio[e.To]; p > best {
 				best = p
 			}
 		}
-		prio[op] = best + opDelay(m, op)
+		prio[i] = best + delays[i]
+		state[i] = -1
+		pending[i] = int32(len(deps.Preds[i]))
 	}
 
-	// defsOf: all defs of a variable (for mux-merge delay estimation).
-	defsOf := map[*ir.Var][]*htg.Op{}
-	for _, op := range ops {
-		if w := op.Writes(); w != nil {
-			defsOf[w] = append(defsOf[w], op)
+	// guardedDef[i] is the deps.Vars position of the variable op i
+	// writes under a guard, or -1. For each variable, guardedN counts
+	// its guarded defs placed in cycle guardedAt-1: the inputs of the
+	// mux that merges them (the §3.1.2 wire-variable merge hardware).
+	varPos := make(map[*ir.Var]int32, len(deps.Vars))
+	for k, v := range deps.Vars {
+		varPos[v] = int32(k)
+	}
+	guardedDef := make([]int32, n)
+	for i, op := range ops {
+		guardedDef[i] = -1
+		if w := op.Writes(); w != nil && len(op.BB.Guard) > 0 {
+			guardedDef[i] = varPos[w]
 		}
 	}
-
-	unscheduled := map[*htg.Op]bool{}
-	for _, op := range ops {
-		unscheduled[op] = true
+	guardedAt := make([]int32, len(deps.Vars))
+	guardedN := make([]int32, len(deps.Vars))
+	guardedIn := func(v, c int32) int {
+		if guardedAt[v] != c+1 {
+			return 0
+		}
+		return int(guardedN[v])
 	}
 
 	// arrivalAt computes the op's input arrival time if placed in cycle c
@@ -64,36 +88,38 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 	// operand has several conditional writers in this cycle (the §3.1.2
 	// wire-variable merge hardware), plus the guard-conjunction network
 	// when the op itself commits conditionally (the select chains the
-	// netlist really builds).
+	// netlist really builds). Every predecessor is placed when it runs.
+	//
+	// The mux penalty is added once per variable, to the first value
+	// edge in Preds order that comes from this cycle, whatever the
+	// finish times of the variable's later edges. Preds order is
+	// therefore part of the schedule: dfa.Build pins it, and changing
+	// this rule changes the designs.
 	andDelay := m.BinOpDelay(ir.OpLAnd, ir.Bool)
-	arrivalAt := func(op *htg.Op, c int) float64 {
+	seenAt := make([]int32, len(deps.Vars)) // call stamp per variable
+	calls := int32(0)
+	arrivalAt := func(i, c int32) float64 {
+		calls++
+		guards := len(ops[i].BB.Guard)
 		arr := 0.0
-		seen := map[*ir.Var]bool{}
-		for _, e := range deps.Preds[op] {
+		for _, e := range deps.Preds[i] {
 			if e.Kind == dfa.Anti || e.Kind == dfa.Output {
 				continue // ordering only: no value flows
 			}
-			if res.OpState[e.From] != c || unscheduled[e.From] {
+			if state[e.From] != c {
 				continue
 			}
-			f := res.Finish[e.From]
-			v := e.Var
-			if v != nil && !seen[v] {
-				seen[v] = true
-				guarded := 0
-				for _, d := range defsOf[v] {
-					if !unscheduled[d] && res.OpState[d] == c && len(d.BB.Guard) > 0 {
-						guarded++
-					}
-				}
-				if guarded > 0 {
-					f += m.MuxDelay(guarded + 1)
+			f := finish[e.From]
+			if v := e.Var; v >= 0 && seenAt[v] != calls {
+				seenAt[v] = calls
+				if k := guardedIn(v, c); k > 0 {
+					f += m.MuxDelay(k + 1)
 				}
 			}
 			if e.Kind == dfa.Guard {
 				// Condition values pass through the guard AND
 				// chain before selecting.
-				f += andDelay * float64(len(op.BB.Guard))
+				f += andDelay * float64(guards)
 			}
 			if f > arr {
 				arr = f
@@ -114,13 +140,17 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 	// same-class ops active in cycle c over any control scenario,
 	// computed by recursion over the HTG tree (max across exclusive
 	// branches, sum across sequential regions).
-	usage := func(class Class, c int, extra *htg.Op) int {
+	var first map[*htg.BasicBlock]int32
+	if !cfg.Resources.Unlimited {
+		first = blockStarts(g)
+	}
+	usage := func(class Class, c, extra int32) int {
 		var walk func(n htg.Node) int
 		countBB := func(bb *htg.BasicBlock) int {
 			k := 0
-			for _, op := range bb.Ops {
-				if (op == extra || (!unscheduled[op] && res.OpState[op] == c)) &&
-					ClassOf(op) == class {
+			for j, op := range bb.Ops {
+				p := first[bb] + int32(j)
+				if (p == extra || state[p] == c) && ClassOf(op) == class {
 					k++
 				}
 			}
@@ -152,79 +182,75 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 		return walk(g.Root)
 	}
 
-	nPreds := map[*htg.Op]int{}
-	for _, op := range ops {
-		nPreds[op] = len(deps.Preds[op])
+	// List scheduling in waves. The pool holds the unplaced ops whose
+	// predecessors are all placed. A wave takes the whole pool by
+	// priority (then op ID) and tries each op in the current cycle; an
+	// op a predecessor's placement frees waits for the next wave, and a
+	// rejected op is retried there with its arrival recomputed. The
+	// cycle closes after a wave that places nothing. Anti and output
+	// edges gate readiness like value edges but allow the same cycle:
+	// netlist construction orders the value network correctly.
+	var pool, wave []int32
+	for i := range ops {
+		if pending[i] == 0 {
+			pool = append(pool, int32(i))
+		}
 	}
-
-	remaining := len(ops)
-	for cycle := 0; remaining > 0; cycle++ {
+	byPriority := func(a, b int32) int {
+		if prio[a] != prio[b] {
+			if prio[a] > prio[b] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(ops[a].ID, ops[b].ID)
+	}
+	remaining := n
+	for cycle := int32(0); remaining > 0; cycle++ {
 		if cycle > 100000 {
 			return nil, fmt.Errorf("sched: runaway scheduling (%d ops left)", remaining)
 		}
 		res.StateCritPath = append(res.StateCritPath, 0)
-		// Candidates whose predecessors are all scheduled (<= cycle).
-		progress := true
-		for progress {
+		for progress := true; progress; {
 			progress = false
-			var ready []*htg.Op
-			for op := range unscheduled {
-				ok := true
-				for _, e := range deps.Preds[op] {
-					if unscheduled[e.From] {
-						ok = false
-						break
-					}
-					// Ordering edges must strictly precede unless
-					// the writer chains first in the same cycle —
-					// we keep it simple and allow same-cycle
-					// anti/output: netlist construction orders the
-					// value network correctly.
-					_ = e
-				}
-				if ok {
-					ready = append(ready, op)
-				}
-			}
-			sort.Slice(ready, func(i, j int) bool {
-				if prio[ready[i]] != prio[ready[j]] {
-					return prio[ready[i]] > prio[ready[j]]
-				}
-				return ready[i].ID < ready[j].ID
-			})
-			for _, op := range ready {
-				arr := arrivalAt(op, cycle)
-				fin := arr + opDelay(m, op) + commitCost(op)
-				if cfg.DisableChaining && arr > 0 {
-					continue // must wait for the next cycle
-				}
-				if m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod {
-					if arr == 0 {
-						// Cannot fit even at cycle start: schedule
-						// anyway and record the violation.
-						res.ClockViolations++
-					} else {
-						continue // retry next cycle
-					}
+			wave = append(wave[:0], pool...)
+			pool = pool[:0]
+			slices.SortFunc(wave, byPriority)
+			for _, i := range wave {
+				op := ops[i]
+				arr := arrivalAt(i, cycle)
+				fin := arr + delays[i] + commitCost(op)
+				if !fitsCycle(cfg, arr, fin, &res.ClockViolations) {
+					pool = append(pool, i) // retry next wave
+					continue
 				}
 				if !cfg.Resources.Unlimited {
 					cl := ClassOf(op)
-					if cl != ClassFree && usage(cl, cycle, op) > cfg.Resources.available(cl) {
+					if cl != ClassFree && usage(cl, cycle, i) > cfg.Resources.available(cl) {
+						pool = append(pool, i)
 						continue
 					}
 				}
-				res.OpState[op] = cycle
-				res.Arrival[op] = arr
-				res.Finish[op] = fin
-				delete(unscheduled, op)
+				state[i], arrival[i], finish[i] = cycle, arr, fin
 				remaining--
 				progress = true
 				if fin > res.StateCritPath[cycle] {
 					res.StateCritPath[cycle] = fin
 				}
+				if v := guardedDef[i]; v >= 0 {
+					if guardedAt[v] != cycle+1 {
+						guardedAt[v], guardedN[v] = cycle+1, 0
+					}
+					guardedN[v]++
+				}
+				for _, e := range deps.Succs[i] {
+					if pending[e.To]--; pending[e.To] == 0 {
+						pool = append(pool, e.To)
+					}
+				}
 			}
 		}
-		if remaining > 0 && len(res.StateCritPath) > len(ops)+1 {
+		if remaining > 0 && len(res.StateCritPath) > n+1 {
 			return nil, fmt.Errorf("sched: no progress at cycle %d", cycle)
 		}
 	}
@@ -233,10 +259,14 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 		res.StateCritPath[i] += m.RegisterSetup()
 	}
 
+	res.OpState = make(map[*htg.Op]int, n)
+	res.Arrival = make(map[*htg.Op]float64, n)
+	res.Finish = make(map[*htg.Op]float64, n)
 	// Per-state op order: program order (topological).
 	res.OpOrder = make([][]*htg.Op, res.NumStates)
-	for _, op := range ops {
-		s := res.OpState[op]
+	for i, op := range ops {
+		s := int(state[i])
+		res.OpState[op], res.Arrival[op], res.Finish[op] = s, arrival[i], finish[i]
 		res.OpOrder[s] = append(res.OpOrder[s], op)
 	}
 	for _, list := range res.OpOrder {

@@ -78,7 +78,9 @@ type resultCode struct {
 	// DepOps is the dependence graph's op list (almost always the
 	// identity order over AllOps, but encoded explicitly); DepEdges is
 	// the successor adjacency flattened in (op, insertion) order —
-	// predecessor lists are rebuilt by replaying the edges.
+	// predecessor lists are rebuilt by replaying the edges, so a
+	// revived graph's Preds list each op's edges by source rather than
+	// in dfa.Build's visit order. Nothing schedules from a revived graph.
 	DepOps   []int
 	DepEdges []depEdgeCode
 }
@@ -185,29 +187,30 @@ func flattenResult(r *Result, encodeGraph func(*htg.Graph) ([]byte, error)) (*re
 
 	if r.Deps != nil {
 		rc.HasDeps = true
-		for _, op := range r.Deps.Ops {
-			i, err := opRef(op)
-			if err != nil {
+		// Resolve the graph's op and variable tables once; edges then
+		// translate by array lookup.
+		d := r.Deps
+		rc.DepOps = make([]int, len(d.Ops))
+		for k, op := range d.Ops {
+			if rc.DepOps[k], err = opRef(op); err != nil {
 				return nil, err
 			}
-			rc.DepOps = append(rc.DepOps, i)
 		}
-		for _, op := range r.Deps.Ops {
-			for _, e := range r.Deps.Succs[op] {
-				fi, err := opRef(e.From)
-				if err != nil {
-					return nil, err
-				}
-				ti, err := opRef(e.To)
-				if err != nil {
-					return nil, err
-				}
-				vi, err := varRef(e.Var)
-				if err != nil {
-					return nil, err
+		vars := make([]int, len(d.Vars))
+		for k, v := range d.Vars {
+			if vars[k], err = varRef(v); err != nil {
+				return nil, err
+			}
+		}
+		rc.DepEdges = make([]depEdgeCode, 0, d.NumEdges())
+		for _, succs := range d.Succs {
+			for _, e := range succs {
+				vi := -1
+				if e.Var >= 0 {
+					vi = vars[e.Var]
 				}
 				rc.DepEdges = append(rc.DepEdges, depEdgeCode{
-					From: fi, To: ti, Kind: int(e.Kind), Var: vi})
+					From: rc.DepOps[e.From], To: rc.DepOps[e.To], Kind: int(e.Kind), Var: vi})
 			}
 		}
 	}
@@ -309,32 +312,54 @@ func rebuildResult(rc *resultCode, decodeGraph func([]byte) (*htg.Graph, error))
 	}
 
 	if rc.HasDeps {
-		deps := &dfa.Graph{Succs: map[*htg.Op][]dfa.Edge{}, Preds: map[*htg.Op][]dfa.Edge{}}
-		for _, i := range rc.DepOps {
+		// Edges reference ops by AllOps index; the graph's own edges
+		// use positions in its op list.
+		pos := make([]int32, len(ops))
+		for i := range pos {
+			pos[i] = -1
+		}
+		depOps := make([]*htg.Op, len(rc.DepOps))
+		for k, i := range rc.DepOps {
 			op, err := opAt(i)
 			if err != nil {
 				return nil, err
 			}
-			deps.Ops = append(deps.Ops, op)
+			if pos[i] >= 0 {
+				return nil, fmt.Errorf("sched: decode: op %d listed twice in the dependence graph", i)
+			}
+			pos[i] = int32(k)
+			depOps[k] = op
 		}
-		for _, ec := range rc.DepEdges {
-			from, err := opAt(ec.From)
-			if err != nil {
-				return nil, err
+		at := func(i int) (int32, error) {
+			if _, err := opAt(i); err != nil {
+				return 0, err
 			}
-			to, err := opAt(ec.To)
-			if err != nil {
-				return nil, err
+			if pos[i] < 0 {
+				return 0, fmt.Errorf("sched: decode: dependence edge on op %d outside the graph", i)
 			}
-			v, err := varAt(ec.Var)
-			if err != nil {
-				return nil, err
-			}
-			e := dfa.Edge{From: from, To: to, Kind: dfa.EdgeKind(ec.Kind), Var: v}
-			deps.Succs[from] = append(deps.Succs[from], e)
-			deps.Preds[to] = append(deps.Preds[to], e)
+			return pos[i], nil
 		}
-		r.Deps = deps
+		edges := make([]dfa.Edge, len(rc.DepEdges))
+		for k, ec := range rc.DepEdges {
+			from, err := at(ec.From)
+			if err != nil {
+				return nil, err
+			}
+			to, err := at(ec.To)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := varAt(ec.Var); err != nil {
+				return nil, err
+			}
+			if ec.Kind < int(dfa.Flow) || ec.Kind > int(dfa.Guard) {
+				return nil, fmt.Errorf("sched: decode: unknown dependence kind %d", ec.Kind)
+			}
+			edges[k] = dfa.Edge{From: from, To: to, Kind: dfa.EdgeKind(ec.Kind), Var: int32(ec.Var)}
+		}
+		// The variable side table is the graph's VarTable itself, so
+		// edge variables need no remapping.
+		r.Deps = dfa.FromEdges(depOps, vars, edges)
 	}
 	return r, nil
 }

@@ -225,6 +225,36 @@ func Schedule(g *htg.Graph, cfg Config) (*Result, error) {
 	return nil, fmt.Errorf("sched: unknown mode %d", cfg.Mode)
 }
 
+// fitsCycle reports whether an op with input arrival arr and finish fin
+// may join the current cycle. An op that misses the clock period even
+// at the cycle start joins anyway and is counted in violations;
+// otherwise it must wait for a later cycle.
+func fitsCycle(cfg Config, arr, fin float64, violations *int) bool {
+	if cfg.DisableChaining && arr > 0 {
+		return false
+	}
+	m := cfg.Model
+	if m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod {
+		if arr > 0 {
+			return false
+		}
+		*violations++
+	}
+	return true
+}
+
+// blockStarts maps each basic block to the position of its first op in
+// g.AllOps, which lists the blocks' ops back to back.
+func blockStarts(g *htg.Graph) map[*htg.BasicBlock]int32 {
+	first := make(map[*htg.BasicBlock]int32, len(g.Blocks))
+	n := int32(0)
+	for _, bb := range g.Blocks {
+		first[bb] = n
+		n += int32(len(bb.Ops))
+	}
+	return first
+}
+
 // opDelay returns the propagation delay of one op.
 func opDelay(m *delay.Model, op *htg.Op) float64 {
 	t := resultType(op)

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"math"
 	"testing"
 
 	"sparkgo/internal/delay"
@@ -93,9 +94,10 @@ type edge struct{ from, to *htg.Op }
 
 func flowEdges(res *sched.Result) []edge {
 	var out []edge
-	for _, op := range res.Deps.Ops {
-		for _, e := range res.Deps.Succs[op] {
-			out = append(out, edge{e.From, e.To})
+	d := res.Deps
+	for _, succs := range d.Succs {
+		for _, e := range succs {
+			out = append(out, edge{d.Ops[e.From], d.Ops[e.To]})
 		}
 	}
 	return out
@@ -300,5 +302,64 @@ func TestClassOfCoverage(t *testing.T) {
 	}
 	if sched.ClassOf(&htg.Op{Kind: htg.OpLoad}) != sched.ClassMem {
 		t.Error("loads use memory ports")
+	}
+}
+
+// TestMuxPenaltyOnFirstEdge pins arrivalAt's merge rule. Two guarded
+// defs of t land in the same cycle and both feed the final read, so
+// that read sits behind a 3-input merge mux. The mux delay is added to
+// the first same-cycle edge of t in Preds order only — the earlier def
+// in program order — and not to whichever def finishes last. The
+// designs in the golden files depend on the rule.
+func TestMuxPenaltyOnFirstEdge(t *testing.T) {
+	const fast = "t = a + 1;"
+	const slow = "t = (a * b) * (b * a);"
+	for _, c := range []struct {
+		name         string
+		first, later string
+	}{{"fast-first", fast, slow}, {"slow-first", slow, fast}} {
+		t.Run(c.name, func(t *testing.T) {
+			g := prepare(t, `
+uint8 a;
+uint8 b;
+uint8 out;
+void main() {
+  uint8 t;
+  if (a > 1) { `+c.first+` }
+  if (b > 1) { `+c.later+` }
+  out = t + 1;
+}
+`)
+			res, err := sched.Schedule(g, sched.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var defs []*htg.Op
+			var use *htg.Op
+			for _, op := range g.AllOps() {
+				if w := op.Writes(); w != nil && w.Name == "t" {
+					defs = append(defs, op)
+				}
+				if w := op.Writes(); w != nil && w.Name == "out" {
+					use = op
+				}
+			}
+			if len(defs) != 2 || use == nil || res.NumStates != 1 {
+				t.Fatalf("want two defs of t and one use in one state; got %d defs, %d states",
+					len(defs), res.NumStates)
+			}
+			mux := res.Model.MuxDelay(3)
+			f0, f1 := res.Finish[defs[0]], res.Finish[defs[1]]
+			if f0 == f1 {
+				t.Fatalf("defs finish together at %g: the rule is not exercised", f0)
+			}
+			if want := math.Max(f0+mux, f1); res.Arrival[use] != want {
+				t.Errorf("arrival %g, want max(first %g + mux %g, later %g) = %g",
+					res.Arrival[use], f0, mux, f1, want)
+			}
+			if c.name == "fast-first" && f1 <= f0+mux {
+				t.Fatalf("slow def (%g) must outlast fast def + mux (%g)", f1, f0+mux)
+			}
+		})
 	}
 }

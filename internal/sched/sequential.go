@@ -27,6 +27,7 @@ func scheduleSequential(g *htg.Graph, cfg Config) (*Result, error) {
 	// Build the full dependence graph once for priorities (intra-BB
 	// slices are consistent with it).
 	s.deps = dfa.Build(g.AllOps(), cfg.DepOpts)
+	s.first = blockStarts(g)
 	res.Deps = s.deps
 
 	entry, exits, err := s.region(g.Root, false)
@@ -54,9 +55,10 @@ func scheduleSequential(g *htg.Graph, cfg Config) (*Result, error) {
 }
 
 type seqScheduler struct {
-	cfg  Config
-	res  *Result
-	deps *dfa.Graph
+	cfg   Config
+	res   *Result
+	deps  *dfa.Graph
+	first map[*htg.BasicBlock]int32 // see blockStarts
 }
 
 // pendingExit identifies an unresolved FSM edge (index into Transitions).
@@ -220,27 +222,27 @@ func (s *seqScheduler) scheduleBB(bb *htg.BasicBlock, reentrant bool) (int, []pe
 		e := s.emitTransition(st, nil, false)
 		return st, []pendingExit{e}, nil
 	}
-	// Intra-BB dependences: restrict the global graph.
-	inBB := map[*htg.Op]bool{}
-	for _, op := range bb.Ops {
-		inBB[op] = true
+	// Intra-BB dependences: restrict the global graph to the block's
+	// ops, which sit back to back in it from position base. Local index
+	// k stands for bb.Ops[k].
+	base := s.first[bb]
+	local := func(p int32) (int, bool) {
+		k := int(p - base)
+		return k, k >= 0 && k < len(bb.Ops)
 	}
-	prio := map[*htg.Op]float64{}
-	for i := len(bb.Ops) - 1; i >= 0; i-- {
-		op := bb.Ops[i]
+	prio := make([]float64, len(bb.Ops))
+	for k := len(bb.Ops) - 1; k >= 0; k-- {
 		best := 0.0
-		for _, e := range s.deps.Succs[op] {
-			if inBB[e.To] {
-				if p := prio[e.To]; p > best {
-					best = p
-				}
+		for _, e := range s.deps.Succs[base+int32(k)] {
+			if j, in := local(e.To); in && prio[j] > best {
+				best = prio[j]
 			}
 		}
-		prio[op] = best + opDelay(m, op)
+		prio[k] = best + opDelay(m, bb.Ops[k])
 	}
-	unscheduled := map[*htg.Op]bool{}
-	for _, op := range bb.Ops {
-		unscheduled[op] = true
+	unscheduled := make([]bool, len(bb.Ops))
+	for k := range unscheduled {
+		unscheduled[k] = true
 	}
 	entry := -1
 	cur := -1
@@ -253,48 +255,47 @@ func (s *seqScheduler) scheduleBB(bb *htg.BasicBlock, reentrant bool) (int, []pe
 		progress := true
 		for progress {
 			progress = false
-			var ready []*htg.Op
-			for op := range unscheduled {
+			var ready []int
+			for k := range bb.Ops {
+				if !unscheduled[k] {
+					continue
+				}
 				ok := true
-				for _, e := range s.deps.Preds[op] {
-					if inBB[e.From] && unscheduled[e.From] {
+				for _, e := range s.deps.Preds[base+int32(k)] {
+					if j, in := local(e.From); in && unscheduled[j] {
 						ok = false
 						break
 					}
 				}
 				if ok {
-					ready = append(ready, op)
+					ready = append(ready, k)
 				}
 			}
 			sort.Slice(ready, func(i, j int) bool {
 				if prio[ready[i]] != prio[ready[j]] {
 					return prio[ready[i]] > prio[ready[j]]
 				}
-				return ready[i].ID < ready[j].ID
+				return bb.Ops[ready[i]].ID < bb.Ops[ready[j]].ID
 			})
-			for _, op := range ready {
+			for _, k := range ready {
+				op := bb.Ops[k]
 				arr := 0.0
-				for _, e := range s.deps.Preds[op] {
-					if !inBB[e.From] || unscheduled[e.From] {
+				for _, e := range s.deps.Preds[base+int32(k)] {
+					j, in := local(e.From)
+					if !in || unscheduled[j] {
 						continue
 					}
 					if e.Kind == dfa.Anti || e.Kind == dfa.Output {
 						continue
 					}
-					if s.res.OpState[e.From] == cur && s.res.Finish[e.From] > arr {
-						arr = s.res.Finish[e.From]
+					from := bb.Ops[j]
+					if s.res.OpState[from] == cur && s.res.Finish[from] > arr {
+						arr = s.res.Finish[from]
 					}
 				}
 				fin := arr + opDelay(m, op)
-				if s.cfg.DisableChaining && arr > 0 {
+				if !fitsCycle(s.cfg, arr, fin, &s.res.ClockViolations) {
 					continue
-				}
-				if m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod {
-					if arr == 0 {
-						s.res.ClockViolations++
-					} else {
-						continue
-					}
 				}
 				if !s.cfg.Resources.Unlimited {
 					cl := ClassOf(op)
@@ -314,7 +315,7 @@ func (s *seqScheduler) scheduleBB(bb *htg.BasicBlock, reentrant bool) (int, []pe
 				s.res.Arrival[op] = arr
 				s.res.Finish[op] = fin
 				s.res.OpOrder[cur] = append(s.res.OpOrder[cur], op)
-				delete(unscheduled, op)
+				unscheduled[k] = false
 				remaining--
 				progress = true
 			}

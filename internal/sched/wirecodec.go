@@ -17,7 +17,9 @@ const resultTag = "sched/1"
 // encodeResultWire frames the flattened schedule in the deterministic
 // binary layout.
 func encodeResultWire(rc *resultCode) []byte {
-	e := wire.NewEncoder(512 + len(rc.Graph))
+	// Size for the bulk: per op a state and two floats, per edge four
+	// small varints.
+	e := wire.NewEncoder(512 + len(rc.Graph) + 20*len(rc.OpState) + 6*len(rc.DepEdges))
 	e.Tag(resultTag)
 	e.Bytes(rc.Graph)
 	e.Int(rc.Mode)
