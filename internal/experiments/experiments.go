@@ -40,6 +40,19 @@ void main() {
 `, n, n, n, n)
 }
 
+// FigureSources returns the paper-figure listings the experiments parse,
+// keyed by figure name (Fig 2 at N = 4), so other packages can pin pass
+// output on the same inputs.
+func FigureSources() map[string]string {
+	return map[string]string{
+		"fig2": fig2Source(4),
+		"fig4": fig4Source,
+		"fig5": fig5Source,
+		"fig6": fig6Source,
+		"fig7": fig7Source,
+	}
+}
+
 // E1Fig02Unroll measures full loop unrolling (Fig 2): the loop disappears
 // and the body replicates N times.
 func E1Fig02Unroll() (*report.Table, error) {
