@@ -24,6 +24,7 @@
 //	BenchmarkSearchHillClimb           adaptive hill-climbing search (E17)
 //	BenchmarkSearchGenetic             adaptive genetic search (E17)
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
+//	BenchmarkFrontendILD/n=*           frontend (pass fixpoint) scale curve
 //	BenchmarkMidendILD/n=*             midend (lowering, dependence graph, list scheduling) scale curve
 //	BenchmarkDFABuild                  dependence-graph construction at n=128
 //	BenchmarkRTLSimILD                 simulated decode throughput
@@ -265,6 +266,25 @@ func BenchmarkSynthesizeILD(b *testing.B) {
 				}
 				if res.Cycles != 1 {
 					b.Fatalf("n=%d: %d cycles", n, res.Cycles)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrontendILD times the microprocessor-block frontend (the
+// pass pipeline to its fixed point, including the per-pass census) on
+// the ILD, whose unrolled body grows linearly with n.
+func BenchmarkFrontendILD(b *testing.B) {
+	opt := core.Options{Preset: core.MicroprocessorBlock}.FrontendOptions()
+	for _, n := range []int{32, 64, 128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := ild.Program(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Frontend(p, opt); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

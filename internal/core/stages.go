@@ -209,11 +209,11 @@ func Frontend(input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
 		if m == nil {
 			return
 		}
+		c := ir.Count(m)
 		fa.Stages = append(fa.Stages, StageMetrics{
 			Pass: pass, Changed: changed,
-			Stmts: ir.CountStmts(m), Ops: ir.CountOps(m),
-			Ifs: ir.CountIfs(m), Loops: ir.CountLoops(m),
-			Calls: ir.CountCalls(m), Funcs: len(p.Funcs),
+			Stmts: c.Stmts, Ops: c.Ops, Ifs: c.Ifs, Loops: c.Loops,
+			Calls: c.Calls, Funcs: len(p.Funcs),
 		})
 	}
 	pl := &pass.Pipeline{Passes: passes, MaxRounds: o.Rounds, Observer: observer}

@@ -349,9 +349,8 @@ func E8toE11Stages(n int) (*report.Table, error) {
 	p := ild.Program(n)
 	orig := ir.CloneProgram(p)
 	snap := func(stage, claim string) {
-		m := p.Main()
-		t.Add(stage, ir.CountStmts(m), ir.CountOps(m), ir.CountIfs(m),
-			ir.CountLoops(m), ir.CountCalls(m), claim)
+		c := ir.Count(p.Main())
+		t.Add(stage, c.Stmts, c.Ops, c.Ifs, c.Loops, c.Calls, claim)
 	}
 	snap("input (Fig 10)", "guarded loop, calls")
 

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -47,9 +48,12 @@ func PrintStmt(s Stmt) string {
 // PrintExpr renders an expression.
 func PrintExpr(e Expr) string {
 	var b strings.Builder
-	(&printer{w: &b}).expr(e, 0)
+	WriteExpr(&b, e)
 	return b.String()
 }
+
+// WriteExpr appends the PrintExpr rendering of e to b.
+func WriteExpr(b *strings.Builder, e Expr) { (&printer{w: b}).expr(e, 0) }
 
 type printer struct {
 	w *strings.Builder
@@ -207,6 +211,12 @@ func precOf(e Expr) int {
 	return 0
 }
 
+// int writes v in decimal.
+func (p *printer) int(v int64) {
+	var buf [20]byte
+	p.w.Write(strconv.AppendInt(buf[:0], v, 10))
+}
+
 func (p *printer) expr(e Expr, parentPrec int) {
 	prec := precOf(e)
 	paren := prec < parentPrec
@@ -222,7 +232,7 @@ func (p *printer) expr(e Expr, parentPrec int) {
 				p.w.WriteString("false")
 			}
 		} else {
-			fmt.Fprintf(p.w, "%d", x.Val)
+			p.int(x.Val)
 		}
 	case *VarExpr:
 		p.w.WriteString(x.V.Name)
@@ -233,7 +243,9 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		p.w.WriteString("]")
 	case *BinExpr:
 		p.expr(x.L, prec)
-		fmt.Fprintf(p.w, " %s ", x.Op)
+		p.w.WriteByte(' ')
+		p.w.WriteString(x.Op.String())
+		p.w.WriteByte(' ')
 		p.expr(x.R, prec+1)
 	case *UnExpr:
 		p.w.WriteString(x.Op.String())
@@ -245,7 +257,9 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		p.w.WriteString(" : ")
 		p.expr(x.Else, prec)
 	case *CastExpr:
-		fmt.Fprintf(p.w, "(%s)", x.Typ)
+		p.w.WriteByte('(')
+		p.w.WriteString(x.Typ.String())
+		p.w.WriteByte(')')
 		p.expr(x.X, 90)
 	case *CallExpr:
 		p.w.WriteString(x.Name)

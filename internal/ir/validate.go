@@ -184,71 +184,118 @@ func checkNoRecursion(p *Program) error {
 	return nil
 }
 
-// CountStmts returns the number of statements in a function body (all
-// nesting levels), a coarse program-size metric used in stage reports.
-func CountStmts(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(Stmt) bool { n++; return true })
-	return n
+// Counts is the shape census of a function body that stage reports
+// print: statements (all nesting levels, loop init/post included),
+// operator nodes (binary, unary, select, index — the paper's
+// "operations"), conditionals, loops, and call expressions.
+type Counts struct {
+	Stmts, Ops, Ifs, Loops, Calls int
 }
 
-// CountOps returns the number of operator nodes (binary, unary, select,
-// index) in the function: the paper's "operations" metric.
-func CountOps(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		WalkStmtExprs(s, func(e Expr) {
-			WalkExpr(e, func(x Expr) bool {
-				switch x.(type) {
-				case *BinExpr, *UnExpr, *SelExpr, *IndexExpr:
-					n++
-				}
-				return true
-			})
-		})
-		return true
-	})
-	return n
+// Count takes the census of f in one walk of its body. It visits what
+// WalkStmts and WalkStmtExprs visit, so the expressions of a for loop's
+// init and post statements count both under the loop and under the
+// statements themselves.
+func Count(f *Func) Counts {
+	var c Counts
+	c.block(f.Body)
+	return c
 }
 
-// CountLoops returns the number of loop statements in the function.
-func CountLoops(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		switch s.(type) {
-		case *ForStmt, *WhileStmt:
-			n++
+func (c *Counts) block(b *Block) {
+	if b == nil {
+		return
+	}
+	for _, s := range b.Stmts {
+		c.stmt(s)
+	}
+}
+
+func (c *Counts) stmt(s Stmt) {
+	if s == nil {
+		return
+	}
+	c.Stmts++
+	switch x := s.(type) {
+	case *AssignStmt:
+		c.expr(x.LHS)
+		c.expr(x.RHS)
+	case *IfStmt:
+		c.Ifs++
+		c.expr(x.Cond)
+		c.block(x.Then)
+		c.block(x.Else)
+	case *ForStmt:
+		c.Loops++
+		if x.Init != nil {
+			c.expr(x.Init.LHS)
+			c.expr(x.Init.RHS)
 		}
-		return true
-	})
-	return n
-}
-
-// CountCalls returns the number of call expressions in the function.
-func CountCalls(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		WalkStmtExprs(s, func(e Expr) {
-			WalkExpr(e, func(x Expr) bool {
-				if _, ok := x.(*CallExpr); ok {
-					n++
-				}
-				return true
-			})
-		})
-		return true
-	})
-	return n
-}
-
-// CountIfs returns the number of conditional statements in the function.
-func CountIfs(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		if _, ok := s.(*IfStmt); ok {
-			n++
+		c.expr(x.Cond)
+		if x.Post != nil {
+			c.expr(x.Post.LHS)
+			c.expr(x.Post.RHS)
 		}
-		return true
-	})
-	return n
+		if x.Init != nil {
+			c.stmt(x.Init)
+		}
+		c.block(x.Body)
+		if x.Post != nil {
+			c.stmt(x.Post)
+		}
+	case *WhileStmt:
+		c.Loops++
+		c.expr(x.Cond)
+		c.block(x.Body)
+	case *ReturnStmt:
+		if x.Val != nil {
+			c.expr(x.Val)
+		}
+	case *ExprStmt:
+		c.expr(x.Call)
+	case *Block:
+		c.block(x)
+	}
 }
+
+func (c *Counts) expr(e Expr) {
+	switch x := e.(type) {
+	case *IndexExpr:
+		c.Ops++
+		c.expr(x.Index)
+	case *BinExpr:
+		c.Ops++
+		c.expr(x.L)
+		c.expr(x.R)
+	case *UnExpr:
+		c.Ops++
+		c.expr(x.X)
+	case *SelExpr:
+		c.Ops++
+		c.expr(x.Cond)
+		c.expr(x.Then)
+		c.expr(x.Else)
+	case *CastExpr:
+		c.expr(x.X)
+	case *CallExpr:
+		c.Calls++
+		for _, a := range x.Args {
+			c.expr(a)
+		}
+	}
+}
+
+// CountStmts returns Count(f).Stmts, a coarse program-size metric.
+func CountStmts(f *Func) int { return Count(f).Stmts }
+
+// CountOps returns Count(f).Ops, the paper's "operations" metric.
+func CountOps(f *Func) int { return Count(f).Ops }
+
+// CountLoops returns Count(f).Loops.
+func CountLoops(f *Func) int { return Count(f).Loops }
+
+// CountCalls returns Count(f).Calls.
+func CountCalls(f *Func) int { return Count(f).Calls }
+
+// CountIfs returns Count(f).Ifs.
+func CountIfs(f *Func) int { return Count(f).Ifs }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -78,12 +79,30 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// MaxSubmitBytes bounds the body of POST /v1/jobs. A request is a few
+// knobs plus at most one inline program, far below this; the bound keeps
+// one client from making the daemon buffer an arbitrarily large body.
+const MaxSubmitBytes = 1 << 20
+
 // submit handles POST /v1/jobs: decode, enqueue (or attach to the
 // in-flight identical job), and answer 202 with the job view. A deduped
-// submit is flagged so clients know they are polling shared work.
+// submit is flagged so clients know they are polling shared work. A body
+// over MaxSubmitBytes is refused with 413 and enqueues nothing.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	// The whole body is read first, so a small JSON object followed by
+	// an oversized tail is refused too.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("reading job request: %w", err))
+		return
+	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)

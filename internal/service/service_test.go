@@ -375,3 +375,45 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("healthz payload: %+v", health)
 	}
 }
+
+// TestSubmitBodyLimit pins the POST /v1/jobs size bound: a body over
+// MaxSubmitBytes — an oversized inline source, or a valid request with
+// an oversized tail — gets 413 with the JSON error body, and nothing is
+// enqueued; a request just under the bound still gets past the reader.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv, q := testServer(t, 1)
+	huge, err := json.Marshal(Request{Kind: KindSynth, Source: strings.Repeat(" ", MaxSubmitBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := append([]byte(`{"kind":"synth","n":4}`), bytes.Repeat([]byte(" "), MaxSubmitBytes)...)
+	for name, body := range map[string][]byte{"source": huge, "tail": tail} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		decErr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: HTTP %d, want 413", name, resp.StatusCode)
+		}
+		if decErr != nil || eb.Error == "" {
+			t.Errorf("%s: error body %+v (decode: %v), want a JSON error", name, eb, decErr)
+		}
+	}
+	if jobs := q.List(); len(jobs) != 0 {
+		t.Fatalf("oversized submits enqueued %d jobs", len(jobs))
+	}
+	// Under the bound the body reaches validation: n = -1 is refused
+	// with 400, not with a size error.
+	fits := append([]byte(`{"kind":"synth","n":-1}`), bytes.Repeat([]byte(" "), MaxSubmitBytes/2)...)
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(fits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("in-bound invalid submit: HTTP %d, want 400", resp.StatusCode)
+	}
+}

@@ -19,9 +19,8 @@ func ConstProp() Pass {
 	return PassFunc{PassName: "const-prop", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			cp := &constProp{prog: p, fn: f}
-			state := cp.initialState()
-			if cp.block(f.Body, state) {
+			cp := &constProp{s: initialState(f)}
+			if cp.block(f.Body) {
 				changed = true
 			}
 		}
@@ -29,45 +28,45 @@ func ConstProp() Pass {
 	}}
 }
 
-type constVal struct {
-	known bool
-	val   int64
-}
-
-type constState map[*ir.Var]constVal
-
-func (s constState) clone() constState {
-	n := make(constState, len(s))
-	for k, v := range s {
-		n[k] = v
+// indexConst files a fact about a global under anyGlobalMarker, since a
+// call may write it; every other fact dies only by a write to its key.
+func indexConst(v *ir.Var, _ int64, into []*ir.Var) []*ir.Var {
+	if v.IsGlobal {
+		into = append(into, anyGlobalMarker)
 	}
-	return n
+	return into
 }
 
 type constProp struct {
-	prog *ir.Program
-	fn   *ir.Func
+	// s maps a variable to its known constant value (canonical for the
+	// variable's type); a variable absent from s is unknown.
+	s *factTable[*ir.Var, int64]
 }
 
-func (cp *constProp) initialState() constState {
-	s := constState{}
-	for _, v := range cp.fn.Locals {
+func initialState(f *ir.Func) *factTable[*ir.Var, int64] {
+	s := newFactTable(indexConst)
+	for _, v := range f.Locals {
 		if !v.IsParam && !v.IsGlobal && v.Type.IsScalar() {
-			s[v] = constVal{known: true, val: 0}
+			s.set(v, 0)
 		}
 	}
 	return s
 }
 
+// killGlobals forgets every global: a call may write any of them.
+func (cp *constProp) killGlobals() {
+	cp.s.kill(anyGlobalMarker, func(v *ir.Var, _ int64) bool { return v.IsGlobal })
+}
+
 // substitute rewrites e, replacing reads of known-constant variables and
 // folding, and returns the new expression.
-func (cp *constProp) substitute(e ir.Expr, s constState) (ir.Expr, bool) {
+func (cp *constProp) substitute(e ir.Expr) (ir.Expr, bool) {
 	changed := false
 	out := ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 		if v, ok := x.(*ir.VarExpr); ok {
-			if cv, ok := s[v.V]; ok && cv.known {
+			if val, ok := cp.s.get(v.V); ok {
 				changed = true
-				return ir.C(cv.val, v.V.Type)
+				return ir.C(val, v.V.Type)
 			}
 			return x
 		}
@@ -80,44 +79,31 @@ func (cp *constProp) substitute(e ir.Expr, s constState) (ir.Expr, bool) {
 	return out, changed
 }
 
-// invalidateWritten clears state entries for everything the statements may
-// write. The anyGlobalMarker sentinel (calls) clears all globals.
-func invalidateWritten(stmts []ir.Stmt, s constState) {
-	w := map[*ir.Var]bool{}
-	writtenVars(stmts, w)
-	if w[anyGlobalMarker] {
-		for v := range s {
-			if v.IsGlobal {
-				delete(s, v)
-			}
-		}
-	}
-	for v := range w {
-		delete(s, v)
-	}
-}
-
 // block propagates through a statement list, mutating statements in place
 // and updating state. It returns whether anything changed. Statement-list
 // mutation (branch folding) rebuilds the slice.
-func (cp *constProp) block(b *ir.Block, s constState) bool {
+func (cp *constProp) block(b *ir.Block) bool {
 	changed := false
-	var out []ir.Stmt
+	out := make([]ir.Stmt, 0, len(b.Stmts))
 	for _, st := range b.Stmts {
-		repl, ch := cp.stmt(st, s)
+		var ch bool
+		out, ch = cp.stmt(st, out)
 		changed = changed || ch
-		out = append(out, repl...)
 	}
 	if len(out) != len(b.Stmts) {
 		changed = true
+	}
+	if len(out) == 0 {
+		out = nil
 	}
 	b.Stmts = out
 	return changed
 }
 
-// stmt processes one statement, returning its replacement (usually itself;
-// empty or inlined-branch for folded ifs) and whether anything changed.
-func (cp *constProp) stmt(st ir.Stmt, s constState) ([]ir.Stmt, bool) {
+// stmt processes one statement, appending its replacement (usually
+// itself; nothing or the taken branch for folded ifs) to out, and
+// reports whether anything changed.
+func (cp *constProp) stmt(st ir.Stmt, out []ir.Stmt) ([]ir.Stmt, bool) {
 	switch x := st.(type) {
 	case *ir.AssignStmt:
 		changed := false
@@ -125,37 +111,33 @@ func (cp *constProp) stmt(st ir.Stmt, s constState) ([]ir.Stmt, bool) {
 			// Substitute in call arguments; a call clobbers globals.
 			call := x.RHS.(*ir.CallExpr)
 			for i, a := range call.Args {
-				na, ch := cp.substitute(a, s)
+				na, ch := cp.substitute(a)
 				call.Args[i] = na
 				changed = changed || ch
 			}
-			for v := range s {
-				if v.IsGlobal {
-					delete(s, v)
-				}
-			}
+			cp.killGlobals()
 		} else {
-			nr, ch := cp.substitute(x.RHS, s)
+			nr, ch := cp.substitute(x.RHS)
 			x.RHS = nr
 			changed = changed || ch
 		}
 		switch lhs := x.LHS.(type) {
 		case *ir.VarExpr:
 			if c, ok := x.RHS.(*ir.ConstExpr); ok {
-				s[lhs.V] = constVal{known: true, val: lhs.V.Type.Canon(c.Val)}
+				cp.s.set(lhs.V, lhs.V.Type.Canon(c.Val))
 			} else {
-				delete(s, lhs.V)
+				cp.s.del(lhs.V)
 			}
 		case *ir.IndexExpr:
-			ni, ch := cp.substitute(lhs.Index, s)
+			ni, ch := cp.substitute(lhs.Index)
 			lhs.Index = ni
 			changed = changed || ch
 			// Array contents are not tracked; nothing to update.
 		}
-		return []ir.Stmt{x}, changed
+		return append(out, x), changed
 
 	case *ir.IfStmt:
-		nc, changed := cp.substitute(x.Cond, s)
+		nc, changed := cp.substitute(x.Cond)
 		x.Cond = nc
 		if c, ok := x.Cond.(*ir.ConstExpr); ok {
 			// Branch folding: splice the taken branch in place.
@@ -166,41 +148,29 @@ func (cp *constProp) stmt(st ir.Stmt, s constState) ([]ir.Stmt, bool) {
 				taken = x.Else
 			}
 			if taken == nil {
-				return nil, true
+				return out, true
 			}
-			cp.block(taken, s)
-			return taken.Stmts, true
+			cp.block(taken)
+			return append(out, taken.Stmts...), true
 		}
-		thenState := s.clone()
-		elseState := s.clone()
-		if cp.block(x.Then, thenState) {
+		// Join: keep only facts that hold on both paths.
+		m := cp.s.mark()
+		if cp.block(x.Then) {
 			changed = true
 		}
+		m = cp.s.restart(m)
 		if x.Else != nil {
-			if cp.block(x.Else, elseState) {
+			if cp.block(x.Else) {
 				changed = true
 			}
 		}
-		// Join: keep only facts that hold on both paths.
-		for v, cv := range thenState {
-			ev, ok := elseState[v]
-			if ok && ev.known == cv.known && ev.val == cv.val {
-				continue
-			}
-			delete(thenState, v)
-		}
-		for v := range s {
-			delete(s, v)
-		}
-		for v, cv := range thenState {
-			s[v] = cv
-		}
-		return []ir.Stmt{x}, changed
+		cp.s.merge(m)
+		return append(out, x), changed
 
 	case *ir.ForStmt:
 		changed := false
 		if x.Init != nil {
-			repl, ch := cp.stmt(x.Init, s)
+			repl, ch := cp.stmt(x.Init, nil)
 			changed = changed || ch
 			if len(repl) == 1 {
 				x.Init = repl[0].(*ir.AssignStmt)
@@ -212,56 +182,54 @@ func (cp *constProp) stmt(st ir.Stmt, s constState) ([]ir.Stmt, bool) {
 		if x.Post != nil {
 			body = append(body, x.Post)
 		}
-		invalidateWritten(body, s)
-		nc, ch := cp.substitute(x.Cond, s)
+		killWritten(body, cp.s.del, cp.killGlobals)
+		nc, ch := cp.substitute(x.Cond)
 		x.Cond = nc
 		changed = changed || ch
-		inner := s.clone()
-		if cp.block(x.Body, inner) {
+		m := cp.s.mark()
+		if cp.block(x.Body) {
 			changed = true
 		}
 		if x.Post != nil {
-			ni, ch := cp.substitute(x.Post.RHS, inner)
+			ni, ch := cp.substitute(x.Post.RHS)
 			x.Post.RHS = ni
 			changed = changed || ch
 		}
-		return []ir.Stmt{x}, changed
+		cp.s.rollback(m)
+		return append(out, x), changed
 
 	case *ir.WhileStmt:
-		invalidateWritten(x.Body.Stmts, s)
-		nc, changed := cp.substitute(x.Cond, s)
+		killWritten(x.Body.Stmts, cp.s.del, cp.killGlobals)
+		nc, changed := cp.substitute(x.Cond)
 		x.Cond = nc
-		inner := s.clone()
-		if cp.block(x.Body, inner) {
+		m := cp.s.mark()
+		if cp.block(x.Body) {
 			changed = true
 		}
-		return []ir.Stmt{x}, changed
+		cp.s.rollback(m)
+		return append(out, x), changed
 
 	case *ir.ReturnStmt:
 		if x.Val == nil {
-			return []ir.Stmt{x}, false
+			return append(out, x), false
 		}
-		nv, changed := cp.substitute(x.Val, s)
+		nv, changed := cp.substitute(x.Val)
 		x.Val = nv
-		return []ir.Stmt{x}, changed
+		return append(out, x), changed
 
 	case *ir.ExprStmt:
 		changed := false
 		for i, a := range x.Call.Args {
-			na, ch := cp.substitute(a, s)
+			na, ch := cp.substitute(a)
 			x.Call.Args[i] = na
 			changed = changed || ch
 		}
-		for v := range s {
-			if v.IsGlobal {
-				delete(s, v)
-			}
-		}
-		return []ir.Stmt{x}, changed
+		cp.killGlobals()
+		return append(out, x), changed
 
 	case *ir.Block:
-		changed := cp.block(x, s)
-		return []ir.Stmt{x}, changed
+		changed := cp.block(x)
+		return append(out, x), changed
 	}
-	return []ir.Stmt{st}, false
+	return append(out, st), false
 }

@@ -16,8 +16,8 @@ func CopyProp() Pass {
 	return PassFunc{PassName: "copy-prop", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			cpp := &copyProp{}
-			if cpp.block(f.Body, copyState{}) {
+			cpp := &copyProp{s: newFactTable(indexCopy)}
+			if cpp.block(f.Body) {
 				changed = true
 			}
 		}
@@ -25,35 +25,40 @@ func CopyProp() Pass {
 	}}
 }
 
-// copyState maps a variable to the variable it is currently a copy of.
-type copyState map[*ir.Var]*ir.Var
-
-func (s copyState) clone() copyState {
-	n := make(copyState, len(s))
-	for k, v := range s {
-		n[k] = v
+// indexCopy files the fact "dst is a copy of src" under src, whose
+// writes kill it (a write to dst deletes the key directly), and under
+// anyGlobalMarker when either variable is global.
+func indexCopy(dst, src *ir.Var, into []*ir.Var) []*ir.Var {
+	into = append(into, src)
+	if dst.IsGlobal || src.IsGlobal {
+		into = append(into, anyGlobalMarker)
 	}
-	return n
+	return into
+}
+
+type copyProp struct {
+	// s maps a variable to the variable it is currently a copy of.
+	s *factTable[*ir.Var, *ir.Var]
 }
 
 // kill removes facts invalidated by a write to v: both "v = x" facts and
 // any "y = v" facts.
-func (s copyState) kill(v *ir.Var) {
-	delete(s, v)
-	for k, src := range s {
-		if src == v {
-			delete(s, k)
-		}
-	}
+func (cp *copyProp) kill(v *ir.Var) {
+	cp.s.del(v)
+	cp.s.kill(v, func(_, src *ir.Var) bool { return src == v })
 }
 
-type copyProp struct{}
+// killGlobals removes every fact a call may invalidate: copies into or
+// out of a global.
+func (cp *copyProp) killGlobals() {
+	cp.s.kill(anyGlobalMarker, func(dst, src *ir.Var) bool { return dst.IsGlobal || src.IsGlobal })
+}
 
-func (cp *copyProp) substitute(e ir.Expr, s copyState) (ir.Expr, bool) {
+func (cp *copyProp) substitute(e ir.Expr) (ir.Expr, bool) {
 	changed := false
 	out := ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 		if v, ok := x.(*ir.VarExpr); ok {
-			if src, ok := s[v.V]; ok {
+			if src, ok := cp.s.get(v.V); ok {
 				changed = true
 				return ir.V(src)
 			}
@@ -63,103 +68,66 @@ func (cp *copyProp) substitute(e ir.Expr, s copyState) (ir.Expr, bool) {
 	return out, changed
 }
 
-func (cp *copyProp) invalidate(stmts []ir.Stmt, s copyState) {
-	w := map[*ir.Var]bool{}
-	writtenVars(stmts, w)
-	if w[anyGlobalMarker] {
-		for v := range s {
-			if v.IsGlobal {
-				s.kill(v)
-			}
-		}
-		for k, src := range s {
-			if src.IsGlobal {
-				delete(s, k)
-			}
-		}
-	}
-	for v := range w {
-		s.kill(v)
-	}
-}
-
-func (cp *copyProp) block(b *ir.Block, s copyState) bool {
+func (cp *copyProp) block(b *ir.Block) bool {
 	changed := false
 	for _, st := range b.Stmts {
-		if cp.stmt(st, s) {
+		if cp.stmt(st) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-func (cp *copyProp) stmt(st ir.Stmt, s copyState) bool {
+func (cp *copyProp) stmt(st ir.Stmt) bool {
 	changed := false
 	switch x := st.(type) {
 	case *ir.AssignStmt:
 		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
 			for i, a := range call.Args {
-				na, ch := cp.substitute(a, s)
+				na, ch := cp.substitute(a)
 				call.Args[i] = na
 				changed = changed || ch
 			}
 			// Call clobbers globals.
-			for v := range s {
-				if v.IsGlobal {
-					s.kill(v)
-				}
-			}
-			for k, src := range s {
-				if src.IsGlobal {
-					delete(s, k)
-				}
-			}
+			cp.killGlobals()
 		} else {
-			nr, ch := cp.substitute(x.RHS, s)
+			nr, ch := cp.substitute(x.RHS)
 			x.RHS = nr
 			changed = changed || ch
 		}
 		switch lhs := x.LHS.(type) {
 		case *ir.VarExpr:
-			s.kill(lhs.V)
+			cp.kill(lhs.V)
 			if src, ok := x.RHS.(*ir.VarExpr); ok && src.V != lhs.V &&
 				src.V.Type.Equal(lhs.V.Type) {
-				s[lhs.V] = src.V
+				cp.s.set(lhs.V, src.V)
 			}
 		case *ir.IndexExpr:
-			ni, ch := cp.substitute(lhs.Index, s)
+			ni, ch := cp.substitute(lhs.Index)
 			lhs.Index = ni
 			changed = changed || ch
-			s.kill(lhs.Arr)
+			cp.kill(lhs.Arr)
 		}
 	case *ir.IfStmt:
-		nc, ch := cp.substitute(x.Cond, s)
+		nc, ch := cp.substitute(x.Cond)
 		x.Cond = nc
 		changed = changed || ch
-		thenState := s.clone()
-		elseState := s.clone()
-		if cp.block(x.Then, thenState) {
+		// Both branches start from the facts before the if; the join
+		// keeps the copies that hold on both paths.
+		m := cp.s.mark()
+		if cp.block(x.Then) {
 			changed = true
 		}
+		m = cp.s.restart(m)
 		if x.Else != nil {
-			if cp.block(x.Else, elseState) {
+			if cp.block(x.Else) {
 				changed = true
 			}
 		}
-		for v, src := range thenState {
-			if elseState[v] != src {
-				delete(thenState, v)
-			}
-		}
-		for v := range s {
-			delete(s, v)
-		}
-		for v, src := range thenState {
-			s[v] = src
-		}
+		cp.s.merge(m)
 	case *ir.ForStmt:
 		if x.Init != nil {
-			if cp.stmt(x.Init, s) {
+			if cp.stmt(x.Init) {
 				changed = true
 			}
 		}
@@ -167,52 +135,45 @@ func (cp *copyProp) stmt(st ir.Stmt, s copyState) bool {
 		if x.Post != nil {
 			body = append(body, x.Post)
 		}
-		cp.invalidate(body, s)
-		nc, ch := cp.substitute(x.Cond, s)
+		killWritten(body, cp.kill, cp.killGlobals)
+		nc, ch := cp.substitute(x.Cond)
 		x.Cond = nc
 		changed = changed || ch
-		inner := s.clone()
-		if cp.block(x.Body, inner) {
+		m := cp.s.mark()
+		if cp.block(x.Body) {
 			changed = true
 		}
 		if x.Post != nil {
-			nr, ch := cp.substitute(x.Post.RHS, inner)
+			nr, ch := cp.substitute(x.Post.RHS)
 			x.Post.RHS = nr
 			changed = changed || ch
 		}
+		cp.s.rollback(m)
 	case *ir.WhileStmt:
-		cp.invalidate(x.Body.Stmts, s)
-		nc, ch := cp.substitute(x.Cond, s)
+		killWritten(x.Body.Stmts, cp.kill, cp.killGlobals)
+		nc, ch := cp.substitute(x.Cond)
 		x.Cond = nc
 		changed = changed || ch
-		inner := s.clone()
-		if cp.block(x.Body, inner) {
+		m := cp.s.mark()
+		if cp.block(x.Body) {
 			changed = true
 		}
+		cp.s.rollback(m)
 	case *ir.ReturnStmt:
 		if x.Val != nil {
-			nv, ch := cp.substitute(x.Val, s)
+			nv, ch := cp.substitute(x.Val)
 			x.Val = nv
 			changed = changed || ch
 		}
 	case *ir.ExprStmt:
 		for i, a := range x.Call.Args {
-			na, ch := cp.substitute(a, s)
+			na, ch := cp.substitute(a)
 			x.Call.Args[i] = na
 			changed = changed || ch
 		}
-		for v := range s {
-			if v.IsGlobal {
-				s.kill(v)
-			}
-		}
-		for k, src := range s {
-			if src.IsGlobal {
-				delete(s, k)
-			}
-		}
+		cp.killGlobals()
 	case *ir.Block:
-		if cp.block(x, s) {
+		if cp.block(x) {
 			changed = true
 		}
 	}

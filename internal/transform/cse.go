@@ -1,6 +1,8 @@
 package transform
 
 import (
+	"strings"
+
 	"sparkgo/internal/ir"
 )
 
@@ -19,8 +21,8 @@ func CSE() Pass {
 	return PassFunc{PassName: "cse", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			c := &cse{fn: f}
-			if c.block(f.Body, availMap{}) {
+			c := &cse{avail: newFactTable(indexCSE), exprs: map[string]*cseExpr{}}
+			if c.block(f.Body) {
 				changed = true
 			}
 		}
@@ -28,151 +30,183 @@ func CSE() Pass {
 	}}
 }
 
-// availMap maps a canonical expression rendering to the variable holding
-// its value.
-type availMap map[string]*ir.Var
+// cseExpr is what CSE needs of one canonical expression: the variables
+// it reads (the semantic reads of its key) and whether any is global.
+// Identical keys always denote identical expressions, so one record per
+// key serves the whole function.
+type cseExpr struct {
+	reads  []*ir.Var
+	global bool
+}
 
-func (a availMap) clone() availMap {
-	n := make(availMap, len(a))
-	for k, v := range a {
-		n[k] = v
+func (e *cseExpr) readsVar(v *ir.Var) bool {
+	for _, r := range e.reads {
+		if r == v {
+			return true
+		}
 	}
-	return n
+	return false
+}
+
+// cseFact says the keyed expression's value is available in holder.
+type cseFact struct {
+	holder *ir.Var
+	expr   *cseExpr
+}
+
+// involves reports whether a write to v invalidates the fact.
+func (f cseFact) involves(v *ir.Var) bool { return f.holder == v || f.expr.readsVar(v) }
+
+// touchesGlobal reports whether a call, which may write any global,
+// invalidates the fact.
+func (f cseFact) touchesGlobal() bool { return f.holder.IsGlobal || f.expr.global }
+
+// indexCSE files a fact under its holder, every variable it reads, and
+// anyGlobalMarker when a call can kill it.
+func indexCSE(_ string, f cseFact, dst []*ir.Var) []*ir.Var {
+	dst = append(dst, f.holder)
+	dst = append(dst, f.expr.reads...)
+	if f.touchesGlobal() {
+		dst = append(dst, anyGlobalMarker)
+	}
+	return dst
 }
 
 type cse struct {
-	fn *ir.Func
-	// reads[key] = set of vars the keyed expression reads. Identical keys
-	// always denote identical expressions, so the map is function-wide.
-	reads map[string]map[*ir.Var]bool
+	// avail maps a canonical expression rendering to the fact holding
+	// its value.
+	avail *factTable[string, cseFact]
+	exprs map[string]*cseExpr
 }
 
 // keyOf renders an expression canonically (PrintExpr is deterministic and
 // includes variable names, operators, and constant values; variable names
 // are unique within a function, so collisions cannot occur).
-func keyOf(e ir.Expr) string { return e.Type().String() + "|" + ir.PrintExpr(e) }
+func keyOf(e ir.Expr) string {
+	var b strings.Builder
+	b.Grow(64)
+	b.WriteString(e.Type().String())
+	b.WriteByte('|')
+	ir.WriteExpr(&b, e)
+	return b.String()
+}
 
-func (c *cse) block(b *ir.Block, avail availMap) bool {
+// exprOf returns the record of the expression e rendered as key.
+func (c *cse) exprOf(key string, e ir.Expr) *cseExpr {
+	if x, ok := c.exprs[key]; ok {
+		return x
+	}
+	x := &cseExpr{}
+	ir.WalkExpr(e, func(n ir.Expr) bool {
+		var v *ir.Var
+		switch n := n.(type) {
+		case *ir.VarExpr:
+			v = n.V
+		case *ir.IndexExpr:
+			v = n.Arr
+		default:
+			return true
+		}
+		if !x.readsVar(v) {
+			x.reads = append(x.reads, v)
+			x.global = x.global || v.IsGlobal
+		}
+		return true
+	})
+	c.exprs[key] = x
+	return x
+}
+
+// killAll drops every fact a write to v invalidates.
+func (c *cse) killAll(v *ir.Var) {
+	c.avail.kill(v, func(_ string, f cseFact) bool { return f.involves(v) })
+}
+
+// killGlobals drops every fact a call invalidates.
+func (c *cse) killGlobals() {
+	c.avail.kill(anyGlobalMarker, func(_ string, f cseFact) bool { return f.touchesGlobal() })
+}
+
+// scoped processes b in a scope of its own: the facts the block makes
+// or kills are undone afterwards.
+func (c *cse) scoped(b *ir.Block) bool {
+	m := c.avail.mark()
+	changed := c.block(b)
+	c.avail.rollback(m)
+	return changed
+}
+
+func (c *cse) block(b *ir.Block) bool {
 	changed := false
-	if c.reads == nil {
-		c.reads = map[string]map[*ir.Var]bool{}
-	}
-	reads := c.reads
-	killAll := func(v *ir.Var) {
-		for k := range avail {
-			if reads[k] == nil || reads[k][v] {
-				delete(avail, k)
-			}
-		}
-		for k, holder := range avail {
-			if holder == v {
-				delete(avail, k)
-			}
-		}
-	}
-	killGlobals := func() {
-		for k := range avail {
-			anyGlobal := reads[k] == nil
-			for v := range reads[k] {
-				if v.IsGlobal {
-					anyGlobal = true
-				}
-			}
-			if anyGlobal {
-				delete(avail, k)
-			}
-		}
-		for k, holder := range avail {
-			if holder.IsGlobal {
-				delete(avail, k)
-			}
-		}
-	}
-
 	for _, s := range b.Stmts {
 		switch x := s.(type) {
 		case *ir.AssignStmt:
 			if _, isCall := x.RHS.(*ir.CallExpr); isCall {
-				killGlobals()
+				c.killGlobals()
 				if lv, ok := x.LHS.(*ir.VarExpr); ok {
-					killAll(lv.V)
+					c.killAll(lv.V)
 				}
 				continue
 			}
 			worthCSE := isNontrivial(x.RHS) && IsPure(x.RHS)
-			key := keyOf(x.RHS)
-			// The read set of the ORIGINAL expression — the semantic
-			// reads of the canonical key. It must drive both the
-			// self-read guard and the recorded fact; using the
-			// substituted copy's reads would let a later write to an
-			// original input slip past killAll.
-			origReads := map[*ir.Var]bool{}
-			ir.VarsRead(x.RHS, origReads)
-			origType := x.RHS.Type()
+			var (
+				key      string
+				expr     *cseExpr
+				origType *ir.Type
+			)
 			if worthCSE {
-				if holder, ok := avail[key]; ok {
-					x.RHS = ir.Cast(ir.V(holder), x.LHS.Type())
+				// The read set of the ORIGINAL expression — the semantic
+				// reads of the canonical key. It must drive both the
+				// self-read guard and the recorded fact; using the
+				// substituted copy's reads would let a later write to an
+				// original input slip past killAll.
+				key = keyOf(x.RHS)
+				expr = c.exprOf(key, x.RHS)
+				origType = x.RHS.Type()
+				if f, ok := c.avail.get(key); ok {
+					x.RHS = ir.Cast(ir.V(f.holder), x.LHS.Type())
 					changed = true
 				}
 			}
 			switch lhs := x.LHS.(type) {
 			case *ir.VarExpr:
-				killAll(lhs.V)
-				if worthCSE && origType.Equal(lhs.V.Type) && !origReads[lhs.V] {
-					if _, stillHas := avail[key]; !stillHas {
-						avail[key] = lhs.V
-						reads[key] = origReads
+				c.killAll(lhs.V)
+				if worthCSE && origType.Equal(lhs.V.Type) && !expr.readsVar(lhs.V) {
+					if _, stillHas := c.avail.get(key); !stillHas {
+						c.avail.set(key, cseFact{holder: lhs.V, expr: expr})
 					}
 				}
 			case *ir.IndexExpr:
-				killAll(lhs.Arr)
+				c.killAll(lhs.Arr)
 			}
 		case *ir.IfStmt:
-			thenAvail := avail.clone()
-			if c.block(x.Then, thenAvail) {
+			// Each branch starts from the facts before the if; neither
+			// sees the other's.
+			if c.scoped(x.Then) {
 				changed = true
 			}
-			if x.Else != nil {
-				elseAvail := avail.clone()
-				if c.block(x.Else, elseAvail) {
-					changed = true
-				}
+			if x.Else != nil && c.scoped(x.Else) {
+				changed = true
 			}
 			// Conservative join: drop facts about anything written in
 			// either branch.
-			w := map[*ir.Var]bool{}
-			writtenVars([]ir.Stmt{x}, w)
-			if w[anyGlobalMarker] {
-				killGlobals()
-			}
-			for v := range w {
-				killAll(v)
-			}
-		case *ir.ForStmt, *ir.WhileStmt:
+			killWritten([]ir.Stmt{x}, c.killAll, c.killGlobals)
+		case *ir.ForStmt:
 			// Invalidate everything the loop writes, then process the
 			// body with the surviving facts.
-			w := map[*ir.Var]bool{}
-			writtenVars([]ir.Stmt{s}, w)
-			if w[anyGlobalMarker] {
-				killGlobals()
+			killWritten([]ir.Stmt{x}, c.killAll, c.killGlobals)
+			if c.scoped(x.Body) {
+				changed = true
 			}
-			for v := range w {
-				killAll(v)
-			}
-			switch l := s.(type) {
-			case *ir.ForStmt:
-				if c.block(l.Body, avail.clone()) {
-					changed = true
-				}
-			case *ir.WhileStmt:
-				if c.block(l.Body, avail.clone()) {
-					changed = true
-				}
+		case *ir.WhileStmt:
+			killWritten([]ir.Stmt{x}, c.killAll, c.killGlobals)
+			if c.scoped(x.Body) {
+				changed = true
 			}
 		case *ir.ExprStmt:
-			killGlobals()
+			c.killGlobals()
 		case *ir.Block:
-			if c.block(x, avail) {
+			if c.block(x) {
 				changed = true
 			}
 		case *ir.ReturnStmt:

@@ -15,6 +15,20 @@
 // All passes preserve program semantics as defined by package interp; the
 // test suite checks this with randomized equivalence testing after every
 // pass on every workload.
+//
+// The dataflow passes run in time linear in program size. CSE, copy
+// propagation and constant propagation keep their facts in one
+// branch-scoped table (factTable): a branch or loop body works on the
+// same table between a mark and a rollback instead of on a copy. Two
+// invariants make that safe. Rollback restores the table exactly —
+// facts and kill index alike — to its state at the mark, so a body sees
+// the facts before it and nothing of a sibling branch. The kill index
+// is advisory: it lists every live fact under each variable whose write
+// can kill it, and every candidate it yields is re-checked against the
+// fact itself, so a stale entry never kills a live fact. DCE keeps
+// liveness as bitsets over a per-run variable index. Tables, logs and
+// bitsets belong to one pass run over one function and are never shared
+// or pooled across goroutines.
 package transform
 
 import (
@@ -94,6 +108,21 @@ func writtenVars(stmts []ir.Stmt, into map[*ir.Var]bool) {
 			if _, isCall := a.RHS.(*ir.CallExpr); isCall {
 				into[anyGlobalMarker] = true
 			}
+		}
+	}
+}
+
+// killWritten invalidates what the statements may write: kill for every
+// variable written, killGlobals once if they contain a call (which may
+// write any global).
+func killWritten(stmts []ir.Stmt, kill func(*ir.Var), killGlobals func()) {
+	w := map[*ir.Var]bool{}
+	writtenVars(stmts, w)
+	for v := range w {
+		if v == anyGlobalMarker {
+			killGlobals()
+		} else {
+			kill(v)
 		}
 	}
 }
