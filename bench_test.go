@@ -27,6 +27,7 @@
 //	BenchmarkFrontendILD/n=*           frontend (pass fixpoint) scale curve
 //	BenchmarkMidendILD/n=*             midend (lowering, dependence graph, list scheduling) scale curve
 //	BenchmarkDFABuild                  dependence-graph construction at n=128
+//	BenchmarkSimCyclesILD/*            latency measurement: whole netlist vs control cone
 //	BenchmarkRTLSimILD                 simulated decode throughput
 //	BenchmarkInterpILD                 behavioral decode throughput
 package sparkgo_test
@@ -429,6 +430,53 @@ func BenchmarkSimBatchILDClassical(b *testing.B) {
 
 func BenchmarkSimBitParILDClassical(b *testing.B) {
 	benchmarkSimBatch(b, core.ClassicalASIC, rtlsim.Compile)
+}
+
+// BenchmarkSimCyclesILD compares the engine's latency measurement on
+// the whole netlist (Compile + RunBatch, which also writes every port
+// back) with the cycles-only path it takes (CompileCycles + RunCycles:
+// the FSM control cone only). One op is the compile plus 64 trials of
+// ILD n=64, on the sequential classical-ASIC FSM and on the
+// microprocessor block with unrolling bounded at 8.
+func BenchmarkSimCyclesILD(b *testing.B) {
+	p := ild.Program(64)
+	for _, d := range []struct {
+		name string
+		opt  core.Options
+	}{
+		{"classical-asic", core.Options{Preset: core.ClassicalASIC}},
+		{"micro-maxunroll=8", core.Options{Preset: core.MicroprocessorBlock, MaxUnroll: 8}},
+	} {
+		res, err := core.Synthesize(p, d.opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := res.Module
+		rng := rand.New(rand.NewSource(42))
+		envs := make([]*interp.Env, rtlsim.MaxLanes)
+		for i := range envs {
+			envs[i] = interp.RandomEnv(p, rng)
+		}
+		maxCycles := rtlsim.WatchdogCycles(m.NumStates)
+		for _, path := range []struct {
+			name string
+			run  func() []rtlsim.LaneResult
+		}{
+			{"full", func() []rtlsim.LaneResult { return rtlsim.Compile(m).RunBatch(p, envs, maxCycles) }},
+			{"cycles", func() []rtlsim.LaneResult { return rtlsim.CompileCycles(m).RunCycles(p, envs, maxCycles) }},
+		} {
+			b.Run(d.name+"/"+path.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, lr := range path.run() {
+						if lr.Err != nil {
+							b.Fatal(lr.Err)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkMidendAllocs pins the allocation count of the midend builders

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"sparkgo/internal/explore"
+	"sparkgo/internal/ild"
+	"sparkgo/internal/ir"
 )
 
 // TestSweepContextPreCanceled: a sweep under an already-done context
@@ -83,6 +85,35 @@ func TestSearchContextCanceled(t *testing.T) {
 			}
 			if res.Evaluations != 0 {
 				t.Errorf("pre-canceled search evaluated %d configs", res.Evaluations)
+			}
+		})
+	}
+}
+
+// TestSearchContextCanceledDuringStartScore: a cancellation that lands
+// while a climb or an anneal scores its start candidate still flags the
+// result. Both strategies stop on the unscored start without asking
+// out() again, so the flag must be recorded where the canceled point
+// comes back; a job would otherwise report a cut search as done.
+func TestSearchContextCanceledDuringStartScore(t *testing.T) {
+	for _, st := range []explore.Strategy{explore.HillClimb{}, explore.SimulatedAnnealing{}} {
+		t.Run(st.Name(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The first evaluation generates its source, which cancels
+			// the run mid-evaluation.
+			eng := &explore.Engine{Workers: 1, Source: func(n int) *ir.Program {
+				cancel()
+				return ild.Program(n)
+			}}
+			res := st.SearchContext(ctx, eng, explore.DefaultSpace(4),
+				explore.LatencyObjective(), explore.Budget{}, 1)
+			if !res.Canceled || !res.Exhausted {
+				t.Errorf("search canceled during its start score: Canceled=%t Exhausted=%t, want both true",
+					res.Canceled, res.Exhausted)
+			}
+			if res.Evaluations != 0 {
+				t.Errorf("canceled start score counted %d evaluations", res.Evaluations)
 			}
 		})
 	}

@@ -641,16 +641,19 @@ func (e *Engine) synthesize(ctx context.Context, c Config, src *sourceEntry) Poi
 // canonical strings collide across sources, and would keep stimulus
 // correlated across sweep axes that don't reach the simulator.
 //
-// The netlist is compiled once (rtlsim.Compile) and the trials run in
-// batched lanes, so gate dispatch is amortized across the whole trial
-// set — this is the dominant cost of a disk-warm-sim sweep. The cycle
-// watchdog is derived from the FSM size (rtlsim.WatchdogCycles), so a
-// non-terminating design errors within thousands of cycles instead of
-// burning millions per trial. Cancellation is observed between lane
-// batches.
+// Only the cycle count is measured, so the netlist is compiled once
+// into a latency program (rtlsim.CompileCycles): just the FSM control
+// cone, which decides every lane's cycle count and error exactly as the
+// whole netlist would. A single-state block's cone is empty. The trials
+// run in batched lanes and nothing is written back into their envs.
+// The returned mix counts the latency program's instructions, which is
+// what sparkgo_sim_insns_total sums. The cycle watchdog is derived from
+// the FSM size (rtlsim.WatchdogCycles), so a non-terminating design
+// errors within thousands of cycles instead of burning millions per
+// trial. Cancellation is observed between lane batches.
 func (e *Engine) simulate(ctx context.Context, src *sourceEntry, mod *rtl.Module, c Config) (int, rtlsim.InsnMix, error) {
 	rng := rand.New(rand.NewSource(simSeed(src.fingerprint, c)))
-	prog := rtlsim.Compile(mod)
+	prog := rtlsim.CompileCycles(mod)
 	mix := prog.Mix()
 	maxCycles := rtlsim.WatchdogCycles(mod.NumStates)
 	max := 0
@@ -662,7 +665,7 @@ func (e *Engine) simulate(ctx context.Context, src *sourceEntry, mod *rtl.Module
 		for i := range envs {
 			envs[i] = interp.RandomEnv(src.prog, rng)
 		}
-		for _, lr := range prog.RunBatch(src.prog, envs, maxCycles) {
+		for _, lr := range prog.RunCycles(src.prog, envs, maxCycles) {
 			if lr.Err != nil {
 				return 0, mix, lr.Err
 			}

@@ -301,7 +301,10 @@ func (r *searchRun) scores(cands []candidate) (scores []float64, ok []bool) {
 			}
 			if IsCanceled(pt) {
 				// Our own cancellation: neither a score nor a spent
-				// evaluation. out() will stop the run.
+				// evaluation. It is recorded here because a strategy
+				// that loses its start candidate stops without asking
+				// out() again.
+				r.result.Exhausted, r.result.Canceled = true, true
 				continue
 			}
 			s := r.obj(pt)

@@ -402,7 +402,7 @@ func NewMetrics(r *Registry) *Metrics {
 		helpTier  = "Blob store operations by tier and outcome."
 		helpJobs  = "Queue job lifecycle transitions."
 		helpSim   = "Measured netlist latency in cycles."
-		helpInsns = "Compiled simulator instructions by opcode class, summed over runs."
+		helpInsns = "Instructions of the latency programs the engine runs (the FSM control cone), by opcode class, summed over runs."
 		helpEv    = "Events published to the observability bus."
 	)
 	for _, st := range foldStages {

@@ -8,6 +8,7 @@
 package rtlsim
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -173,13 +174,16 @@ func (b *Batch) laneWrite(sr slotRef, lane int, v int64, cn canonDesc) {
 	b.vals[int(sr.idx)*b.lanes+lane] = cn.canon(v)
 }
 
-// SetScalar drives a scalar architectural port in one lane.
+// SetScalar drives a scalar architectural port in one lane. A port a
+// cycles-only program has no slot for accepts the write and drops it.
 func (b *Batch) SetScalar(lane int, name string, v int64) error {
 	ps, ok := b.p.scalarPort[name]
 	if !ok {
 		return fmt.Errorf("rtlsim: no scalar port %q", name)
 	}
-	b.laneWrite(ps.slot, lane, ps.cn.canon(v), ps.cn)
+	if ps.slot.idx >= 0 {
+		b.laneWrite(ps.slot, lane, ps.cn.canon(v), ps.cn)
+	}
 	return nil
 }
 
@@ -191,6 +195,9 @@ func (b *Batch) SetArray(lane int, name string, vals []int64) error {
 		return fmt.Errorf("rtlsim: no array port %q", name)
 	}
 	for i, ps := range elems {
+		if ps.slot.idx < 0 {
+			continue
+		}
 		var v int64
 		if i < len(vals) {
 			v = vals[i]
@@ -200,11 +207,18 @@ func (b *Batch) SetArray(lane int, name string, vals []int64) error {
 	return nil
 }
 
+// ErrCyclesOnly is returned by every port read on a CompileCycles
+// program, which keeps no port values.
+var ErrCyclesOnly = errors.New("rtlsim: cycles-only program keeps no port values")
+
 // Scalar reads a scalar port's current value in one lane.
 func (b *Batch) Scalar(lane int, name string) (int64, error) {
 	ps, ok := b.p.scalarPort[name]
 	if !ok {
 		return 0, fmt.Errorf("rtlsim: no scalar port %q", name)
+	}
+	if b.p.cyclesOnly {
+		return 0, ErrCyclesOnly
 	}
 	return b.laneRead(ps.slot, lane), nil
 }
@@ -215,6 +229,9 @@ func (b *Batch) Array(lane int, name string) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("rtlsim: no array port %q", name)
 	}
+	if b.p.cyclesOnly {
+		return nil, ErrCyclesOnly
+	}
 	out := make([]int64, len(elems))
 	for i, ps := range elems {
 		out[i] = b.laneRead(ps.slot, lane)
@@ -223,11 +240,14 @@ func (b *Batch) Array(lane int, name string) ([]int64, error) {
 }
 
 // Ret reads the design's return-value register in one lane (0 when void).
-func (b *Batch) Ret(lane int) int64 {
-	if b.p.retSlot.idx < 0 {
-		return 0
+func (b *Batch) Ret(lane int) (int64, error) {
+	if b.p.cyclesOnly {
+		return 0, ErrCyclesOnly
 	}
-	return b.laneRead(b.p.retSlot, lane)
+	if b.p.retSlot.idx < 0 {
+		return 0, nil
+	}
+	return b.laneRead(b.p.retSlot, lane), nil
 }
 
 // Done reports whether a lane's FSM has finished.
@@ -260,8 +280,12 @@ func (b *Batch) LoadEnv(lane int, p *ir.Program, env *interp.Env) error {
 
 // StoreEnv writes one lane's final architectural port values back into an
 // interpreter environment (the inverse of LoadEnv), so batched results
-// can be compared env-to-env.
+// can be compared env-to-env. On a cycles-only program it returns
+// ErrCyclesOnly and leaves env untouched.
 func (b *Batch) StoreEnv(lane int, p *ir.Program, env *interp.Env) error {
+	if b.p.cyclesOnly {
+		return ErrCyclesOnly
+	}
 	for _, g := range p.Globals {
 		if g.Type.IsArray() {
 			vals, err := b.Array(lane, g.Name)
@@ -1021,8 +1045,20 @@ type LaneResult struct {
 // maxCycles), and each lane's final port values are stored back into its
 // env for comparison against a behavioral reference. Environments beyond
 // MaxLanes are chunked into successive batches, so callers simply pass
-// their whole trial set.
+// their whole trial set. On a cycles-only program the write-back fails,
+// so every lane that ran cleanly reports ErrCyclesOnly.
 func (p *Program) RunBatch(prog *ir.Program, envs []*interp.Env, maxCycles int) []LaneResult {
+	return p.run(prog, envs, maxCycles, true)
+}
+
+// RunCycles is RunBatch without the write-back: each lane reports its
+// cycle count and error, and the envs are only read. It is how a
+// CompileCycles program runs.
+func (p *Program) RunCycles(prog *ir.Program, envs []*interp.Env, maxCycles int) []LaneResult {
+	return p.run(prog, envs, maxCycles, false)
+}
+
+func (p *Program) run(prog *ir.Program, envs []*interp.Env, maxCycles int, store bool) []LaneResult {
 	out := make([]LaneResult, len(envs))
 	for start := 0; start < len(envs); start += MaxLanes {
 		end := min(start+MaxLanes, len(envs))
@@ -1035,7 +1071,7 @@ func (p *Program) RunBatch(prog *ir.Program, envs []*interp.Env, maxCycles int) 
 		for i := start; i < end; i++ {
 			ln := i - start
 			out[i] = LaneResult{Cycles: b.Cycles(ln), Err: b.Err(ln)}
-			if out[i].Err == nil {
+			if store && out[i].Err == nil {
 				out[i].Err = b.StoreEnv(ln, prog, envs[i])
 			}
 		}

@@ -23,7 +23,9 @@
 // (opNarrowBit / opWidenBit). CompileSoA disables the classification —
 // every signal stays struct-of-arrays — and serves as the reference
 // batch oracle the bit-sliced path is differentially pinned against,
-// alongside the scalar Sim and package interp.
+// alongside the scalar Sim and package interp. CompileCycles keeps the
+// bit-sliced model but lowers only the FSM control cone, for callers
+// that measure cycle counts and never read a port.
 package rtlsim
 
 import (
@@ -270,9 +272,17 @@ type Program struct {
 	need      [][]uint64
 	needWords int
 
+	// scalarPort and arrayPort name every architectural port, so a
+	// load fails on the same names under every compile; a port outside
+	// a cycles-only program's cone has no slot, and writes to it are
+	// dropped.
 	scalarPort map[string]portSlot
 	arrayPort  map[string][]portSlot
 	retSlot    slotRef // idx < 0 when the design is void
+
+	// cyclesOnly marks a CompileCycles program: it computes cycle
+	// counts and lane errors only, so every port read is an error.
+	cyclesOnly bool
 
 	err error // compile-time validation failure, surfaced per lane
 }
@@ -282,13 +292,24 @@ type Program struct {
 // An op the simulator does not implement is reported at run time (every
 // lane errors), mirroring the scalar Sim's behaviour; the gate network
 // itself is validated here.
-func Compile(m *rtl.Module) *Program { return compileProgram(m, true) }
+func Compile(m *rtl.Module) *Program { return compileProgram(m, true, false) }
 
 // CompileSoA lowers a module with bit-slicing disabled: every signal
 // keeps the struct-of-arrays layout. This is the reference batch
 // execution model the bit-sliced path is differentially tested against,
 // and the baseline the BENCH_sim bit-parallel ratchet measures.
-func CompileSoA(m *rtl.Module) *Program { return compileProgram(m, false) }
+func CompileSoA(m *rtl.Module) *Program { return compileProgram(m, false, false) }
+
+// CompileCycles lowers only a module's FSM control cone (see
+// controlCone) into a bit-sliced Program. Its lanes report exactly the
+// cycle counts and errors a Compile program's lanes report on the same
+// stimulus, for a fraction of the work: only cone gates become
+// instructions and only cone registers commit. Every gate is still
+// validated, so a bad op anywhere in the netlist fails every lane, and
+// every port name is kept, so LoadEnv fails exactly as under Compile.
+// The program holds no port values: Scalar, Array, Ret, StoreEnv and
+// RunBatch's write-back return an error. Run it with RunCycles.
+func CompileCycles(m *rtl.Module) *Program { return compileProgram(m, true, true) }
 
 // Mix returns the compiled instruction counts per execution class.
 func (p *Program) Mix() InsnMix { return p.mix }
@@ -299,13 +320,17 @@ func (p *Program) BitSlots() int { return p.bitSlots }
 // WideSlots returns how many signals use the struct-of-arrays layout.
 func (p *Program) WideSlots() int { return p.wideSlots }
 
-func compileProgram(m *rtl.Module, bitSliced bool) *Program {
+// compileProgram lowers m. A cycles-only compile gives state slots
+// only to the control cone's signals, lowers only its gates and
+// commits only writes to its registers.
+func compileProgram(m *rtl.Module, bitSliced, cyclesOnly bool) *Program {
 	p := &Program{
 		M:          m,
 		numStates:  m.NumStates,
 		scalarPort: map[string]portSlot{},
 		arrayPort:  map[string][]portSlot{},
 		retSlot:    noSlot,
+		cyclesOnly: cyclesOnly,
 	}
 	maxID := -1
 	for _, s := range m.Signals {
@@ -313,12 +338,19 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 			maxID = s.ID
 		}
 	}
+	var keep *cone
+	if cyclesOnly {
+		keep = controlCone(m, maxID)
+	}
 	slot := make([]slotRef, maxID+1)
 	for _, s := range m.Signals {
-		if bitSliced && isBitType(s.Type) {
+		switch {
+		case keep != nil && !keep.sig[s.ID]:
+			slot[s.ID] = noSlot
+		case bitSliced && isBitType(s.Type):
 			slot[s.ID] = slotRef{idx: int32(p.bitSlots), bit: true}
 			p.bitSlots++
-		} else {
+		default:
 			slot[s.ID] = slotRef{idx: int32(p.wideSlots)}
 			p.wideSlots++
 		}
@@ -331,6 +363,9 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 	}
 	for _, s := range m.Signals {
 		sr := slot[s.ID]
+		if sr.idx < 0 {
+			continue
+		}
 		switch s.Kind {
 		case rtl.SigConst:
 			if sr.bit {
@@ -350,8 +385,23 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 			}
 		}
 	}
+	gates := m.Gates
+	if keep != nil {
+		gates = nil
+		for i, g := range m.Gates {
+			if keep.gate[i] {
+				gates = append(gates, g)
+			}
+		}
+	}
 	for _, g := range m.Gates {
-		p.insns = append(p.insns, p.lowerGate(g, at))
+		if err := gateErr(g); err != nil {
+			p.err = err
+		}
+	}
+	p.insns = make([]insn, 0, len(gates))
+	for _, g := range gates {
+		p.insns = append(p.insns, lowerGate(g, at))
 	}
 	for i := range p.insns {
 		switch p.insns[i].op.class() {
@@ -367,7 +417,8 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 	}
 	p.writes = make([][]regCommit, m.NumStates)
 	for _, rw := range m.RegWrites {
-		if rw.State >= 0 && rw.State < m.NumStates {
+		// A register outside the cone has no slot and nothing reads it.
+		if rw.State >= 0 && rw.State < m.NumStates && at(rw.Reg).idx >= 0 {
 			p.writes[rw.State] = append(p.writes[rw.State],
 				regCommit{reg: at(rw.Reg), val: at(rw.Value), cn: canonOf(rw.Reg.Type)})
 		}
@@ -411,10 +462,82 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 	}
 	// A single-state FSM observes its whole netlist every cycle, so
 	// per-state need sets would only add iteration overhead there.
-	if bitSliced && m.NumStates > 1 && len(m.Gates) > 0 {
-		p.buildNeedSets(m, maxID)
+	if bitSliced && m.NumStates > 1 && len(gates) > 0 {
+		p.buildNeedSets(m, gates, maxID, at)
 	}
 	return p
+}
+
+// producers maps each signal ID to the position in gates of the gate
+// driving it, -1 for signals no gate drives (inputs, registers,
+// constants).
+func producers(gates []*rtl.Gate, maxID int) []int32 {
+	producer := make([]int32, maxID+1)
+	for i := range producer {
+		producer[i] = -1
+	}
+	for i, g := range gates {
+		producer[g.Out.ID] = int32(i)
+	}
+	return producer
+}
+
+// cone is the keep-set of a cycles-only compile.
+type cone struct {
+	gate []bool // by position in Module.Gates
+	sig  []bool // by Signal.ID
+}
+
+// controlCone computes a module's FSM control cone. It starts from
+// every transition condition and follows two kinds of link until
+// nothing new is added: the inputs of each gate in the cone, and the
+// value of every RegWrite, in any state, to a register in the cone.
+//
+// A lane's cycle count depends only on which transitions fire, and so
+// only on this cone: cone gates read only cone signals, and cone
+// registers are written only from cone signals. Its errors depend on
+// nothing else either: the watchdog and the no-matching-transition
+// error are decided by the transitions, and a gate never errors at run
+// time (division by zero and an out-of-range array index yield 0).
+// A single-state design whose one transition is unconditional has an
+// empty cone.
+func controlCone(m *rtl.Module, maxID int) *cone {
+	producer := producers(m.Gates, maxID)
+	// writes to each register as linked lists over m.RegWrites.
+	firstWrite := make([]int32, maxID+1)
+	for i := range firstWrite {
+		firstWrite[i] = -1
+	}
+	nextWrite := make([]int32, len(m.RegWrites))
+	for i, rw := range m.RegWrites {
+		nextWrite[i] = firstWrite[rw.Reg.ID]
+		firstWrite[rw.Reg.ID] = int32(i)
+	}
+	c := &cone{gate: make([]bool, len(m.Gates)), sig: make([]bool, maxID+1)}
+	var stack []*rtl.Signal
+	add := func(s *rtl.Signal) {
+		if s != nil && !c.sig[s.ID] {
+			c.sig[s.ID] = true
+			stack = append(stack, s)
+		}
+	}
+	for _, tr := range m.Trans {
+		add(tr.Cond)
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if gi := producer[s.ID]; gi >= 0 {
+			c.gate[gi] = true
+			for _, in := range m.Gates[gi].In {
+				add(in)
+			}
+		}
+		for wi := firstWrite[s.ID]; wi >= 0; wi = nextWrite[wi] {
+			add(m.RegWrites[wi].Value)
+		}
+	}
+	return c
 }
 
 // buildNeedSets computes, per FSM state, the bitmap of instructions
@@ -422,20 +545,16 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 // of its register-write sources and its outgoing transition conditions.
 // A cycle then evaluates only the union over active states — in a
 // many-state sequential design most of the netlist is dead on any given
-// cycle, and the bit-sliced stepper skips it entirely.
-func (p *Program) buildNeedSets(m *rtl.Module, maxID int) {
-	producer := make([]int32, maxID+1)
-	for i := range producer {
-		producer[i] = -1
-	}
-	for i, g := range m.Gates {
-		producer[g.Out.ID] = int32(i)
-	}
-	words := (len(m.Gates) + 63) / 64
+// cycle, and the bit-sliced stepper skips it entirely. gates are the
+// lowered gates in instruction order; writes to registers without a
+// slot (outside a cycles-only cone) are not roots.
+func (p *Program) buildNeedSets(m *rtl.Module, gates []*rtl.Gate, maxID int, at func(*rtl.Signal) slotRef) {
+	producer := producers(gates, maxID)
+	words := (len(gates) + 63) / 64
 	p.needWords = words
 	p.need = make([][]uint64, m.NumStates)
 	flat := make([]uint64, words*m.NumStates)
-	stack := make([]int32, 0, len(m.Gates))
+	stack := make([]int32, 0, len(gates))
 	var bm []uint64
 	mark := func(s *rtl.Signal) {
 		if s == nil {
@@ -452,7 +571,7 @@ func (p *Program) buildNeedSets(m *rtl.Module, maxID int) {
 		bm = flat[st*words : (st+1)*words]
 		stack = stack[:0]
 		for _, rw := range m.RegWrites {
-			if rw.State == st {
+			if rw.State == st && at(rw.Reg).idx >= 0 {
 				mark(rw.Value)
 			}
 		}
@@ -464,7 +583,7 @@ func (p *Program) buildNeedSets(m *rtl.Module, maxID int) {
 		for len(stack) > 0 {
 			pi := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, in := range m.Gates[pi].In {
+			for _, in := range gates[pi].In {
 				mark(in)
 			}
 		}
@@ -487,7 +606,7 @@ func bitWord(v int64) uint64 {
 // struct-of-arrays loop when everything is wide, a specialized boundary
 // op on the common crossings, and the generic per-lane fallback for the
 // rest.
-func (p *Program) lowerGate(g *rtl.Gate, at func(*rtl.Signal) slotRef) insn {
+func lowerGate(g *rtl.Gate, at func(*rtl.Signal) slotRef) insn {
 	in := insn{
 		kind: g.Kind, bin: g.Bin, un: g.Un, uns: g.UnsignedOps,
 		cn: canonOf(g.Out.Type), out: at(g.Out),
@@ -496,9 +615,6 @@ func (p *Program) lowerGate(g *rtl.Gate, at func(*rtl.Signal) slotRef) insn {
 	switch g.Kind {
 	case rtl.GateBin:
 		in.a, in.b = at(g.In[0]), at(g.In[1])
-		if !binOpKnown(g.Bin) {
-			p.err = fmt.Errorf("rtlsim: gate %s: unknown binary op %v", g.Out.Name, g.Bin)
-		}
 		in.op = classifyBin(&in)
 	case rtl.GateUn:
 		in.a = at(g.In[0])
@@ -525,10 +641,27 @@ func (p *Program) lowerGate(g *rtl.Gate, at func(*rtl.Signal) slotRef) insn {
 			in.op = opLaneArrayRead
 		}
 	default:
-		p.err = fmt.Errorf("rtlsim: gate %s: unknown gate kind %v", g.Out.Name, g.Kind)
+		// Unknown kind: gateErr fails every lane before this runs.
 		in.op = opLaneCopy
 	}
 	return in
+}
+
+// gateErr validates one gate: an op or gate kind the simulator does not
+// implement. Every gate of the module is validated, lowered or not, and
+// the error is reported at run time (every lane errors), mirroring the
+// scalar Sim's behaviour.
+func gateErr(g *rtl.Gate) error {
+	switch g.Kind {
+	case rtl.GateBin:
+		if !binOpKnown(g.Bin) {
+			return fmt.Errorf("rtlsim: gate %s: unknown binary op %v", g.Out.Name, g.Bin)
+		}
+	case rtl.GateUn, rtl.GateMux, rtl.GateCopy, rtl.GateArrayRead:
+	default:
+		return fmt.Errorf("rtlsim: gate %s: unknown gate kind %v", g.Out.Name, g.Kind)
+	}
+	return nil
 }
 
 // classifyBin maps a binary gate onto an opcode. Over packed 1-bit

@@ -69,7 +69,9 @@ func mixedBoundaryModule() *rtl.Module {
 // program, the SoA reference program, and the scalar Sim to agree on
 // every lane's registers, done flag, error state, and cycle count. Any
 // divergence in a pack/unpack boundary op, a packed retirement mask, or
-// the packed commit path surfaces here as a three-way mismatch.
+// the packed commit path surfaces here as a three-way mismatch. The
+// cycles-only program (CompileCycles) must agree on done flag, error
+// state and cycle count; it keeps no register values to compare.
 func FuzzBitSlicedDifferential(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x02, 0x03})
@@ -86,6 +88,7 @@ func FuzzBitSlicedDifferential(f *testing.F) {
 	maxCycles := rtlsim.WatchdogCycles(m.NumStates)
 	bit := rtlsim.Compile(m)
 	soa := rtlsim.CompileSoA(m)
+	cyc := rtlsim.CompileCycles(m)
 	ports := []string{"acc", "flag", "cnt"}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -110,18 +113,29 @@ func FuzzBitSlicedDifferential(f *testing.F) {
 
 		bb := bit.NewBatch(lanes)
 		sb := soa.NewBatch(lanes)
+		cb := cyc.NewBatch(lanes)
 		for ln := 0; ln < lanes; ln++ {
 			ln := ln
 			load(func(n string, v int64) error { return bb.SetScalar(ln, n, v) }, ln)
 			load(func(n string, v int64) error { return sb.SetScalar(ln, n, v) }, ln)
+			load(func(n string, v int64) error { return cb.SetScalar(ln, n, v) }, ln)
 		}
 		bb.Run(maxCycles)
 		sb.Run(maxCycles)
+		cb.Run(maxCycles)
 
 		for ln := 0; ln < lanes; ln++ {
 			sim := rtlsim.New(m)
 			load(sim.SetScalar, ln)
 			wantCycles, wantErr := sim.Run(maxCycles)
+
+			if (cb.Err(ln) != nil) != (wantErr != nil) {
+				t.Fatalf("lane %d: cycles-only err=%v, scalar err=%v", ln, cb.Err(ln), wantErr)
+			}
+			if cb.Cycles(ln) != wantCycles || cb.Done(ln) != sim.Done() {
+				t.Fatalf("lane %d: cycles-only ran %d cycles (done=%v), scalar %d (done=%v)",
+					ln, cb.Cycles(ln), cb.Done(ln), wantCycles, sim.Done())
+			}
 
 			for _, batch := range []struct {
 				name string

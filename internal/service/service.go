@@ -131,6 +131,12 @@ type Request struct {
 	Priority int `json:"priority,omitempty"`
 }
 
+// MaxN bounds the generator scale of a request: N, and every sweep
+// size. It is the top of the benchmarked scale curve (ILD n = 8 … 256);
+// synthesis cost grows superlinearly in n, so one larger request could
+// pin a worker for minutes.
+const MaxN = 256
+
 // Normalize fills kind-appropriate defaults in place and validates the
 // request shape (not the source text — the queue parses that at submit).
 func (r *Request) Normalize() error {
@@ -148,8 +154,8 @@ func (r *Request) Normalize() error {
 	if r.N == 0 {
 		r.N = 8
 	}
-	if r.N < 1 {
-		return fmt.Errorf("service: bad scale n=%d", r.N)
+	if r.N < 1 || r.N > MaxN {
+		return fmt.Errorf("service: bad scale n=%d (want 1..%d)", r.N, MaxN)
 	}
 	switch r.Kind {
 	case KindSweep:
@@ -157,8 +163,8 @@ func (r *Request) Normalize() error {
 			r.Sizes = []int{4, 8}
 		}
 		for _, n := range r.Sizes {
-			if n < 1 {
-				return fmt.Errorf("service: bad sweep size %d", n)
+			if n < 1 || n > MaxN {
+				return fmt.Errorf("service: bad sweep size %d (want 1..%d)", n, MaxN)
 			}
 		}
 		if len(r.MaxUnrolls) == 0 {

@@ -417,3 +417,34 @@ func TestSubmitBodyLimit(t *testing.T) {
 		t.Errorf("in-bound invalid submit: HTTP %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSubmitScaleLimit pins the bound on generator scale: a synth or
+// search n, or any sweep size, above MaxN gets 400 with the JSON error
+// body and enqueues nothing; MaxN itself passes validation.
+func TestSubmitScaleLimit(t *testing.T) {
+	srv, q := testServer(t, 1)
+	for name, req := range map[string]Request{
+		"synth":  {Kind: KindSynth, N: MaxN + 1},
+		"search": {Kind: KindSearch, N: 1024},
+		"sweep":  {Kind: KindSweep, Sizes: []int{4, MaxN + 1}},
+	} {
+		var eb errorBody
+		if code := httpJSON(t, "POST", srv.URL+"/v1/jobs", req, &eb); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
+		if !strings.Contains(eb.Error, fmt.Sprint(MaxN)) {
+			t.Errorf("%s: error %q does not name the bound %d", name, eb.Error, MaxN)
+		}
+	}
+	if jobs := q.List(); len(jobs) != 0 {
+		t.Fatalf("over-scale submits enqueued %d jobs", len(jobs))
+	}
+	for _, req := range []Request{
+		{Kind: KindSynth, N: MaxN},
+		{Kind: KindSweep, Sizes: []int{MaxN}},
+	} {
+		if err := req.Normalize(); err != nil {
+			t.Errorf("%+v at the bound: %v", req, err)
+		}
+	}
+}
